@@ -2,9 +2,13 @@ package spec_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"clustersim/internal/core"
@@ -17,10 +21,6 @@ import (
 
 // specsDir is the checked-in spec directory at the repository root.
 const specsDir = "../../specs"
-
-// oracleWindow keeps the full 9-benchmark × 4-policy matrix fast while
-// still crossing several phase boundaries of every workload.
-const oracleWindow = 20_000
 
 const oracleSeed = 1
 
@@ -80,51 +80,109 @@ func TestBuiltinSpecGoldens(t *testing.T) {
 	}
 }
 
-// TestSpecOracle is the format-completeness proof: for each of the nine
-// benchmarks, the checked-in spec compiles to a generator whose full
-// simulated Result is byte-identical to the hard-coded generator's under
-// every reconfiguration policy — and a trace recorded from the live
-// generator replays to the same Result again.
+// digestWindow is the length of the pinned-digest runs: long enough to
+// cross every benchmark's short phases several times.
+const digestWindow = 60_000
+
+// digestSeeds are the seeds whose Results are pinned: the development seed
+// and a held-out one.
+var digestSeeds = []uint64{1, 97}
+
+// digestsFile pins, for every benchmark, policy and digest seed, the
+// digest of the full simulated Result of a digestWindow run.
+const digestsFile = "testdata/oracle_digests.txt"
+
+// resultDigest hashes every field of a Result, names included, so any
+// change to the simulated statistics changes the digest.
+func resultDigest(t *testing.T, r pipeline.Result) string {
+	t.Helper()
+	data, err := json.Marshal(r)
+	if err != nil {
+		t.Fatalf("marshal Result: %v", err)
+	}
+	h := fnv.New64a()
+	h.Write(data)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// loadDigests reads digestsFile into a "bench policy seed" → digest map.
+func loadDigests(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(digestsFile)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	pins := map[string]string{}
+	for _, line := range strings.Split(string(data), "\n") {
+		f := strings.Fields(line)
+		if len(f) == 0 || strings.HasPrefix(f[0], "#") {
+			continue
+		}
+		if len(f) != 4 {
+			t.Fatalf("%s: malformed line %q", digestsFile, line)
+		}
+		pins[strings.Join(f[:3], " ")] = f[3]
+	}
+	return pins
+}
+
+// TestSpecOracle pins the nine benchmarks' simulated behaviour. For every
+// benchmark, policy and digest seed, the full Result of a run from
+// workload.New must match the digest checked in under testdata/ (-update
+// rewrites the table; a changed digest means the benchmarks or the
+// simulator changed, which must be deliberate, and a change that adds a
+// Result field changes every digest). The checked-in spec must compile to
+// the same Result, and a trace recorded from the generator must replay to
+// it again.
 func TestSpecOracle(t *testing.T) {
+	var pins map[string]string
+	if !*update {
+		pins = loadDigests(t)
+	}
+	var table strings.Builder
+	table.WriteString("# bench policy seed digest: Result digests pinned by TestSpecOracle (-update rewrites)\n")
+	cells := 0
 	for _, bench := range workload.Benchmarks() {
 		s, err := spec.LoadFile(filepath.Join(specsDir, bench+".json"))
 		if err != nil {
 			t.Fatalf("%s: %v", bench, err)
 		}
-		fp, err := s.Fingerprint()
-		if err != nil {
-			t.Fatalf("%s: Fingerprint: %v", bench, err)
-		}
 		for _, pol := range policies {
 			t.Run(bench+"/"+pol.name, func(t *testing.T) {
-				liveGen, err := workload.New(bench, oracleSeed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				live := runGen(t, liveGen, pol.mk, oracleWindow)
+				for _, seed := range digestSeeds {
+					live := runGen(t, workload.MustNew(bench, seed), pol.mk, digestWindow)
+					key := fmt.Sprintf("%s %s %d", bench, pol.name, seed)
+					got := resultDigest(t, live)
+					fmt.Fprintf(&table, "%s %s\n", key, got)
+					cells++
+					if !*update && got != pins[key] {
+						t.Errorf("%s: Result digest %s, pinned %s:\n  %+v", key, got, pins[key], live)
+					}
 
-				specGen, err := spec.Compile(s, oracleSeed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fromSpec := runGen(t, specGen, pol.mk, oracleWindow)
-				if live != fromSpec {
-					t.Errorf("spec-compiled run diverges from built-in generator:\n  live: %+v\n  spec: %+v", live, fromSpec)
-				}
+					specGen, err := spec.Compile(s, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if fromSpec := runGen(t, specGen, pol.mk, digestWindow); fromSpec != live {
+						t.Errorf("seed %d: spec-compiled run diverges from built-in generator:\n  live: %+v\n  spec: %+v", seed, live, fromSpec)
+					}
 
-				recGen, err := workload.New(bench, oracleSeed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tr := trace.Record(recGen, oracleWindow+trace.DefaultHeadroom, trace.Meta{
-					Name: bench, SourceKind: trace.SourceSpec, SourceID: bench,
-					SourceFP: fp, Seed: oracleSeed,
-				})
-				replayed := runGen(t, tr.Replayer(), pol.mk, oracleWindow)
-				if live != replayed {
-					t.Errorf("replayed run diverges from live generation:\n  live:   %+v\n  replay: %+v", live, replayed)
+					tr := trace.Record(workload.MustNew(bench, seed), digestWindow+trace.DefaultHeadroom, trace.Meta{
+						Name: bench, SourceKind: trace.SourceBench, SourceID: bench, Seed: seed,
+					})
+					if replayed := runGen(t, tr.Replayer(), pol.mk, digestWindow); replayed != live {
+						t.Errorf("seed %d: replayed run diverges from live generation:\n  live:   %+v\n  replay: %+v", seed, live, replayed)
+					}
 				}
 			})
+		}
+	}
+	if *update {
+		if want := len(workload.Benchmarks()) * len(policies) * len(digestSeeds); cells != want {
+			t.Fatalf("-update ran %d of %d cells; rerun without a -run filter below TestSpecOracle", cells, want)
+		}
+		if err := os.WriteFile(digestsFile, []byte(table.String()), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
