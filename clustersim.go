@@ -75,7 +75,7 @@ type (
 	// a named distribution, inverse-CDF sampled).
 	SpecDist = spec.Dist
 	// SpecMixThread is one compiled thread of a mix spec.
-	SpecMixThread = spec.MixThread
+	SpecMixThread = workload.MixThread
 	// InstrTrace is a recorded instruction stream with its identity;
 	// replaying it is byte-identical to live generation.
 	InstrTrace = trace.Trace
@@ -356,19 +356,13 @@ func ParseWorkloadSpec(data []byte) (*WorkloadSpec, error) { return spec.Parse(d
 // CompileWorkloadSpec compiles a single-program spec into a Generator;
 // distribution-valued fields are sampled deterministically from seed.
 func CompileWorkloadSpec(s *WorkloadSpec, seed uint64) (Generator, error) {
-	return spec.Compile(s, seed)
+	return workload.Compile(s, seed)
 }
 
 // CompileWorkloadMix compiles a mix spec into per-thread generators for
 // NewSMT.
 func CompileWorkloadMix(s *WorkloadSpec, seed uint64) ([]SpecMixThread, error) {
-	return spec.CompileMix(s, seed)
-}
-
-// BuiltinWorkloadPhases returns the phase list behind a built-in benchmark,
-// the raw material for expressing it as a declarative spec.
-func BuiltinWorkloadPhases(name string) ([]WorkloadPhase, bool) {
-	return workload.BuiltinPhases(name)
+	return workload.CompileMix(s, seed)
 }
 
 // RecordTrace drains n instructions from gen into a trace.

@@ -17,8 +17,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -26,33 +28,51 @@ import (
 )
 
 func main() {
-	bench := flag.String("bench", "gzip", "benchmark name (-list to enumerate)")
-	list := flag.Bool("list", false, "list benchmarks and exit")
-	policy := flag.String("policy", "explore", "static | explore | dilp | fg | fgcr")
-	clusters := flag.Int("clusters", 16, "active clusters for -policy static")
-	n := flag.Uint64("n", 1_000_000, "instructions to simulate")
-	seed := flag.Uint64("seed", 1, "workload seed")
-	cache := flag.String("cache", "central", "central | dist")
-	topo := flag.String("topo", "ring", "ring | grid")
-	interval := flag.Uint64("interval", 0, "interval length for dilp (0 = paper default)")
-	trace := flag.String("trace", "", "write a structured event trace to this file")
-	traceFormat := flag.String("trace-format", "jsonl", "trace file format: jsonl | chrome")
-	metrics := flag.String("metrics", "", "write a metrics snapshot (JSON) to this file")
-	sample := flag.Uint64("sample", 10_000, "probe sampling period in cycles (0 disables)")
-	serve := flag.String("serve", "", "serve live metrics over HTTP on this address (e.g. :8080)")
-	servePprof := flag.Bool("pprof", false, "with -serve, also expose Go profiling endpoints under /debug/pprof/")
-	phases := flag.Bool("phases", false, "attribute simulator wall time to pipeline phases and print the table")
-	phaseSample := flag.Uint64("phase-sample", 0, "phase-attribution sampling period in cycles (0 = default, 1 in 64)")
-	checkInv := flag.Bool("check", false, "validate cycle-level invariants during the run (exit 1 on violation)")
-	legacyStepper := flag.Bool("legacy-stepper", false, "use the per-cycle scan stepper instead of the event-driven one (differential oracle / perf baseline)")
-	specFile := flag.String("spec", "", "run a declarative workload spec (JSON file) instead of -bench")
-	recordTrace := flag.String("record-trace", "", "record the workload's instruction stream (n + headroom instructions) to this file and exit without simulating")
-	replayTrace := flag.String("replay-trace", "", "replay a recorded instruction stream instead of generating one")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes one invocation with the given arguments and returns the
+// process exit status: 0 on success, 1 when -check finds an invariant
+// violation, 2 on any usage or run error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("clustersim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fatal := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "clustersim: "+format+"\n", args...)
+		return 2
+	}
+	bench := fs.String("bench", "gzip", "benchmark name (-list to enumerate)")
+	list := fs.Bool("list", false, "list benchmarks and exit")
+	policy := fs.String("policy", "explore", "static | explore | dilp | fg | fgcr")
+	clusters := fs.Int("clusters", 16, "active clusters for -policy static")
+	n := fs.Uint64("n", 1_000_000, "instructions to simulate")
+	seed := fs.Uint64("seed", 1, "workload seed")
+	cache := fs.String("cache", "central", "central | dist")
+	topo := fs.String("topo", "ring", "ring | grid")
+	interval := fs.Uint64("interval", 0, "interval length for dilp (0 = paper default)")
+	trace := fs.String("trace", "", "write a structured event trace to this file")
+	traceFormat := fs.String("trace-format", "jsonl", "trace file format: jsonl | chrome")
+	metrics := fs.String("metrics", "", "write a metrics snapshot (JSON) to this file")
+	sample := fs.Uint64("sample", 10_000, "probe sampling period in cycles (0 disables)")
+	serve := fs.String("serve", "", "serve live metrics over HTTP on this address (e.g. :8080)")
+	servePprof := fs.Bool("pprof", false, "with -serve, also expose Go profiling endpoints under /debug/pprof/")
+	phases := fs.Bool("phases", false, "attribute simulator wall time to pipeline phases and print the table")
+	phaseSample := fs.Uint64("phase-sample", 0, "phase-attribution sampling period in cycles (0 = default, 1 in 64)")
+	checkInv := fs.Bool("check", false, "validate cycle-level invariants during the run (exit 1 on violation)")
+	legacyStepper := fs.Bool("legacy-stepper", false, "use the per-cycle scan stepper instead of the event-driven one (differential oracle / perf baseline)")
+	specFile := fs.String("spec", "", "run a declarative workload spec (JSON file) instead of -bench")
+	recordTrace := fs.String("record-trace", "", "record the workload's instruction stream (n + headroom instructions) to this file and exit without simulating")
+	replayTrace := fs.String("replay-trace", "", "replay a recorded instruction stream instead of generating one")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
-		fmt.Println(strings.Join(clustersim.Benchmarks(), "\n"))
-		return
+		fmt.Fprintln(stdout, strings.Join(clustersim.Benchmarks(), "\n"))
+		return 0
 	}
 
 	// buildGen constructs the live workload (-spec, else -bench) and the
@@ -88,20 +108,20 @@ func main() {
 
 	if *recordTrace != "" {
 		if *replayTrace != "" {
-			fatal("-record-trace and -replay-trace are mutually exclusive")
+			return fatal("-record-trace and -replay-trace are mutually exclusive")
 		}
 		gen, meta, err := buildGen()
 		if err != nil {
-			fatal("%v", err)
+			return fatal("%v", err)
 		}
 		// Record past -n so the same file replays under any policy: deeper
 		// fetch-ahead consumes more of the stream than the commit window.
 		t := clustersim.RecordTrace(gen, *n+clustersim.DefaultTraceHeadroom, meta)
 		if err := clustersim.WriteTraceFile(*recordTrace, t); err != nil {
-			fatal("%v", err)
+			return fatal("%v", err)
 		}
-		fmt.Printf("recorded %d instructions of %s to %s\n", len(t.Instrs), meta.Name, *recordTrace)
-		return
+		fmt.Fprintf(stdout, "recorded %d instructions of %s to %s\n", len(t.Instrs), meta.Name, *recordTrace)
+		return 0
 	}
 
 	cfg := clustersim.DefaultConfig()
@@ -111,14 +131,14 @@ func main() {
 	case "dist":
 		cfg.Cache = clustersim.DecentralizedCache
 	default:
-		fatal("unknown -cache %q", *cache)
+		return fatal("unknown -cache %q", *cache)
 	}
 	switch *topo {
 	case "ring":
 	case "grid":
 		cfg.Topology = clustersim.GridTopology
 	default:
-		fatal("unknown -topo %q", *topo)
+		return fatal("unknown -topo %q", *topo)
 	}
 
 	var ctrl clustersim.Controller
@@ -134,7 +154,7 @@ func main() {
 	case "fgcr":
 		ctrl = clustersim.NewFineGrain(clustersim.FineGrainConfig{CallReturnOnly: true})
 	default:
-		fatal("unknown -policy %q", *policy)
+		return fatal("unknown -policy %q", *policy)
 	}
 
 	// Observability: any of -trace, -metrics or -serve attaches an
@@ -152,17 +172,17 @@ func main() {
 		if *metrics != "" {
 			f, err := os.Create(*metrics)
 			if err != nil {
-				fatal("%v", err)
+				return fatal("%v", err)
 			}
 			metricsFile = f
 		}
 		if *trace != "" {
 			if *traceFormat != "jsonl" && *traceFormat != "chrome" {
-				fatal("unknown -trace-format %q", *traceFormat)
+				return fatal("unknown -trace-format %q", *traceFormat)
 			}
 			f, err := os.Create(*trace)
 			if err != nil {
-				fatal("%v", err)
+				return fatal("%v", err)
 			}
 			if *traceFormat == "jsonl" {
 				s := clustersim.NewJSONLSink(f)
@@ -181,14 +201,14 @@ func main() {
 			}
 			addr, closeServe, err := serveFn(*serve, ob.Registry)
 			if err != nil {
-				fatal("%v", err)
+				return fatal("%v", err)
 			}
 			defer closeServe()
 			// A served registry also reports the simulator process's own
 			// runtime health alongside the simulated machine.
 			stopSampler := clustersim.StartRuntimeSampler(ob.Registry, 0)
 			defer stopSampler()
-			fmt.Fprintf(os.Stderr, "serving metrics on %s (%s)\n", addr, endpoints)
+			fmt.Fprintf(stderr, "serving metrics on %s (%s)\n", addr, endpoints)
 		}
 		cfg.Observer = ob
 	}
@@ -212,65 +232,66 @@ func main() {
 		if *replayTrace != "" {
 			t, terr := clustersim.ReadTraceFile(*replayTrace)
 			if terr != nil {
-				fatal("%v", terr)
+				return fatal("%v", terr)
 			}
 			gen = t.Replayer()
 		} else if gen, _, err = buildGen(); err != nil {
-			fatal("%v", err)
+			return fatal("%v", err)
 		}
 		p, perr := clustersim.NewProcessor(cfg, gen, ctrl)
 		if perr != nil {
-			fatal("%v", perr)
+			return fatal("%v", perr)
 		}
 		res, err = runDirect(p, *n)
 	} else {
 		res, err = clustersim.Run(*bench, *seed, cfg, ctrl, *n)
 	}
 	if err != nil {
-		fatal("%v", err)
+		return fatal("%v", err)
 	}
 
 	if closeTrace != nil {
 		if err := closeTrace(); err != nil {
-			fatal("closing trace: %v", err)
+			return fatal("closing trace: %v", err)
 		}
 	}
 	if metricsFile != nil {
 		if err := ob.Registry.Snapshot().WriteJSON(metricsFile); err != nil {
-			fatal("writing metrics: %v", err)
+			return fatal("writing metrics: %v", err)
 		}
 		if err := metricsFile.Close(); err != nil {
-			fatal("closing metrics: %v", err)
+			return fatal("closing metrics: %v", err)
 		}
 	}
 
-	fmt.Printf("benchmark        %s\n", res.Benchmark)
-	fmt.Printf("policy           %s\n", res.Policy)
-	fmt.Printf("instructions     %d\n", res.Instructions)
-	fmt.Printf("cycles           %d\n", res.Cycles)
-	fmt.Printf("IPC              %.3f\n", res.IPC())
-	fmt.Printf("avg clusters     %.2f of %d\n", res.AvgActiveClusters(), cfg.Clusters)
-	fmt.Printf("reconfigs        %d (%.1f/M instrs)\n", res.Reconfigs, res.ReconfigsPerMInstr())
-	fmt.Printf("mispred interval %.0f instructions\n", res.MispredictInterval())
-	fmt.Printf("reg transfers    %d (avg %.1f cycles)\n", res.RegTransfers, res.AvgRegCommLatency())
-	fmt.Printf("L1 miss rate     %.3f\n", res.Mem.L1MissRate())
-	fmt.Printf("distant issued   %d (%.0f/1K instrs)\n", res.DistantIssued,
+	fmt.Fprintf(stdout, "benchmark        %s\n", res.Benchmark)
+	fmt.Fprintf(stdout, "policy           %s\n", res.Policy)
+	fmt.Fprintf(stdout, "instructions     %d\n", res.Instructions)
+	fmt.Fprintf(stdout, "cycles           %d\n", res.Cycles)
+	fmt.Fprintf(stdout, "IPC              %.3f\n", res.IPC())
+	fmt.Fprintf(stdout, "avg clusters     %.2f of %d\n", res.AvgActiveClusters(), cfg.Clusters)
+	fmt.Fprintf(stdout, "reconfigs        %d (%.1f/M instrs)\n", res.Reconfigs, res.ReconfigsPerMInstr())
+	fmt.Fprintf(stdout, "mispred interval %.0f instructions\n", res.MispredictInterval())
+	fmt.Fprintf(stdout, "reg transfers    %d (avg %.1f cycles)\n", res.RegTransfers, res.AvgRegCommLatency())
+	fmt.Fprintf(stdout, "L1 miss rate     %.3f\n", res.Mem.L1MissRate())
+	fmt.Fprintf(stdout, "distant issued   %d (%.0f/1K instrs)\n", res.DistantIssued,
 		1000*float64(res.DistantIssued)/float64(res.Instructions))
-	fmt.Printf("distant fraction %.2f of commits\n", res.DistantILPFraction())
+	fmt.Fprintf(stdout, "distant fraction %.2f of commits\n", res.DistantILPFraction())
 	if cfg.Cache == clustersim.DecentralizedCache {
-		fmt.Printf("bank mispredicts %d\n", res.BankMispredicts)
-		fmt.Printf("flush writebacks %d (%d flushes)\n", res.Mem.FlushWritebacks, res.Mem.Flushes)
+		fmt.Fprintf(stdout, "bank mispredicts %d\n", res.BankMispredicts)
+		fmt.Fprintf(stdout, "flush writebacks %d (%d flushes)\n", res.Mem.FlushWritebacks, res.Mem.Flushes)
 	}
 	if chk != nil {
 		if err := chk.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "clustersim: invariant check FAILED:\n%v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "clustersim: invariant check FAILED:\n%v\n", err)
+			return 1
 		}
-		fmt.Printf("invariants       ok (%d cycles checked)\n", chk.CyclesChecked())
+		fmt.Fprintf(stdout, "invariants       ok (%d cycles checked)\n", chk.CyclesChecked())
 	}
 	if ptimer != nil {
-		fmt.Print(ptimer.Report().Table())
+		fmt.Fprint(stdout, ptimer.Report().Table())
 	}
+	return 0
 }
 
 // runDirect drives an explicitly constructed processor (spec or replay
@@ -288,9 +309,4 @@ func runDirect(p *clustersim.Processor, n uint64) (res clustersim.Result, err er
 		}
 	}()
 	return p.Run(n)
-}
-
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "clustersim: "+format+"\n", args...)
-	os.Exit(2)
 }

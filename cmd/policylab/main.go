@@ -25,6 +25,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -39,18 +40,36 @@ import (
 )
 
 func main() {
-	benches := flag.String("bench", "", "comma-separated benchmark subset (default: all nine)")
-	scale := flag.Float64("scale", 1.0, "simulation window scale factor")
-	seed := flag.Uint64("seed", 42, "search seed (candidate generation and mutation)")
-	wseed := flag.Uint64("workload-seed", 1, "workload seed for every evaluation run")
-	pop := flag.Int("pop", 16, "candidates per generation (minimum 4)")
-	gens := flag.Int("gens", 3, "generations")
-	elites := flag.Int("elites", 0, "candidates surviving unchanged per generation (0 = pop/4)")
-	parallel := flag.Int("parallel", 0, "sweep worker-pool width (0 = GOMAXPROCS)")
-	ckDir := flag.String("checkpoint-dir", "", "crash-safety directory: runs snapshot here and persist finished results for -resume")
-	resume := flag.Bool("resume", false, "preload results persisted under -checkpoint-dir by an earlier invocation")
-	out := flag.String("out", "", "output path prefix: writes <prefix>.csv and <prefix>.json (default: CSV on stdout)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes one invocation with the given arguments and returns the
+// process exit status: 0 on success, 1 when the search or its output
+// fails, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("policylab", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "policylab: %v\n", err)
+		return 1
+	}
+	benches := fs.String("bench", "", "comma-separated benchmark subset (default: all nine)")
+	scale := fs.Float64("scale", 1.0, "simulation window scale factor")
+	seed := fs.Uint64("seed", 42, "search seed (candidate generation and mutation)")
+	wseed := fs.Uint64("workload-seed", 1, "workload seed for every evaluation run")
+	pop := fs.Int("pop", 16, "candidates per generation (minimum 4)")
+	gens := fs.Int("gens", 3, "generations")
+	elites := fs.Int("elites", 0, "candidates surviving unchanged per generation (0 = pop/4)")
+	parallel := fs.Int("parallel", 0, "sweep worker-pool width (0 = GOMAXPROCS)")
+	ckDir := fs.String("checkpoint-dir", "", "crash-safety directory: runs snapshot here and persist finished results for -resume")
+	resume := fs.Bool("resume", false, "preload results persisted under -checkpoint-dir by an earlier invocation")
+	out := fs.String("out", "", "output path prefix: writes <prefix>.csv and <prefix>.json (default: CSV on stdout)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	benchList := workload.Benchmarks()
 	if *benches != "" {
@@ -61,15 +80,14 @@ func main() {
 	rn.CheckpointDir = *ckDir
 	if *resume {
 		if *ckDir == "" {
-			fmt.Fprintln(os.Stderr, "policylab: -resume requires -checkpoint-dir")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "policylab: -resume requires -checkpoint-dir")
+			return 2
 		}
 		n, err := rn.LoadPersisted()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "policylab: resume: %v\n", err)
-			os.Exit(1)
+			return fail(fmt.Errorf("resume: %w", err))
 		}
-		fmt.Fprintf(os.Stderr, "policylab: resume: preloaded %d persisted result(s) from %s\n", n, *ckDir)
+		fmt.Fprintf(stderr, "policylab: resume: preloaded %d persisted result(s) from %s\n", n, *ckDir)
 	}
 
 	// Windows come from the experiments package's calibrated per-benchmark
@@ -86,27 +104,24 @@ func main() {
 		WorkloadSeed: *wseed,
 		Runner:       rn,
 		Progress: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "policylab: "+format+"\n", args...)
+			fmt.Fprintf(stderr, "policylab: "+format+"\n", args...)
 		},
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "policylab: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 
 	if *out == "" {
-		if err := lb.WriteCSV(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "policylab: %v\n", err)
-			os.Exit(1)
+		if err := lb.WriteCSV(stdout); err != nil {
+			return fail(err)
 		}
 	} else {
 		if dir := filepath.Dir(*out); dir != "." {
 			if err := os.MkdirAll(dir, 0o755); err != nil {
-				fmt.Fprintf(os.Stderr, "policylab: %v\n", err)
-				os.Exit(1)
+				return fail(err)
 			}
 		}
-		write := func(path string, render func(f io.Writer) error) {
+		write := func(path string, render func(f io.Writer) error) error {
 			f, err := os.Create(path)
 			if err == nil {
 				err = render(f)
@@ -114,19 +129,21 @@ func main() {
 					err = cerr
 				}
 			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "policylab: %v\n", err)
-				os.Exit(1)
-			}
+			return err
 		}
-		write(*out+".csv", lb.WriteCSV)
-		write(*out+".json", lb.WriteJSON)
-		fmt.Fprintf(os.Stderr, "policylab: wrote %s.csv and %s.json\n", *out, *out)
+		if err := write(*out+".csv", lb.WriteCSV); err != nil {
+			return fail(err)
+		}
+		if err := write(*out+".json", lb.WriteJSON); err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stderr, "policylab: wrote %s.csv and %s.json\n", *out, *out)
 	}
 
 	best := lb.Entries[0]
 	st := rn.Stats()
-	fmt.Fprintf(os.Stderr, "policylab: %d candidates over %s; best %s (fp %016x) score %.4f geomean IPC %.4f; %d runs, %d cache hits\n",
+	fmt.Fprintf(stderr, "policylab: %d candidates over %s; best %s (fp %016x) score %.4f geomean IPC %.4f; %d runs, %d cache hits\n",
 		len(lb.Entries), strings.Join(benchList, ","), best.Spec.Name, best.Fingerprint,
 		best.Aggregate.Score, best.Aggregate.IPC, st.Runs, st.CacheHits)
+	return 0
 }

@@ -27,6 +27,7 @@ var runnerClosure = []string{
 	"internal/snap", "internal/bpred", "internal/interconnect", "internal/isa",
 	"internal/mem", "internal/obs", "internal/telemetry", "internal/rng",
 	"internal/workload", "internal/pipeline", "internal/runner",
+	"internal/spec", "specs",
 }
 
 // scratchRunnerModule copies go.mod plus the runner closure into a temp

@@ -96,7 +96,7 @@ func (o Options) bindWorkload(req *runner.Request) {
 	}
 	if s, ok := o.specFor(req.Bench); ok {
 		seed := req.Seed
-		req.Source = func() (workload.Generator, error) { return spec.Compile(s, seed) }
+		req.Source = func() (workload.Generator, error) { return workload.Compile(s, seed) }
 		if fp, err := s.Fingerprint(); err == nil {
 			req.SourceKey = fmt.Sprintf("spec:%016x", fp)
 		} else {
@@ -110,7 +110,7 @@ func (o Options) bindWorkload(req *runner.Request) {
 // replay.
 func (o Options) buildGenerator(bench string, seed uint64) (workload.Generator, trace.Meta, error) {
 	if s, ok := o.specFor(bench); ok {
-		gen, err := spec.Compile(s, seed)
+		gen, err := workload.Compile(s, seed)
 		if err != nil {
 			return nil, trace.Meta{}, err
 		}

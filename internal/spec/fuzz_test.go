@@ -8,6 +8,7 @@ import (
 	"clustersim/internal/isa"
 	"clustersim/internal/pipeline"
 	"clustersim/internal/spec"
+	"clustersim/internal/workload"
 )
 
 // FuzzSpec throws arbitrary documents at the parser. Whatever parses must
@@ -44,7 +45,7 @@ func FuzzSpec(f *testing.F) {
 		if len(s.Mix) > 0 {
 			// Mix entries may name unknown benchmarks; that is a compile
 			// error, not a panic.
-			if threads, err := spec.CompileMix(s, 1); err == nil {
+			if threads, err := workload.CompileMix(s, 1); err == nil {
 				var in isa.Instruction
 				for _, th := range threads {
 					for i := 0; i < 64; i++ {
@@ -54,7 +55,7 @@ func FuzzSpec(f *testing.F) {
 			}
 			return
 		}
-		gen, err := spec.Compile(s, 1)
+		gen, err := workload.Compile(s, 1)
 		if err != nil {
 			t.Fatalf("validated single-program spec failed to compile: %v", err)
 		}

@@ -1,7 +1,6 @@
 package spec_test
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -46,38 +45,6 @@ func runGen(t *testing.T, gen workload.Generator, mkCtrl func() pipeline.Control
 		t.Fatalf("Run: %v", err)
 	}
 	return res
-}
-
-// TestBuiltinSpecGoldens pins the checked-in specs/<bench>.json files to
-// the canonical serialization of the built-in benchmark definitions; with
-// -update it regenerates them. A drifted golden means either the benchmark
-// definition or the serialization format changed — both must be deliberate.
-func TestBuiltinSpecGoldens(t *testing.T) {
-	for _, bench := range workload.Benchmarks() {
-		phases, ok := workload.BuiltinPhases(bench)
-		if !ok {
-			t.Fatalf("BuiltinPhases(%q) unknown", bench)
-		}
-		s := spec.FromPhases(bench, phases)
-		want, err := s.Serialize()
-		if err != nil {
-			t.Fatalf("%s: Serialize: %v", bench, err)
-		}
-		path := filepath.Join(specsDir, bench+".json")
-		if *update {
-			if err := os.WriteFile(path, want, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%v (run with -update to regenerate)", err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: checked-in spec drifted from the built-in definition (run with -update if intended)", bench)
-		}
-	}
 }
 
 // digestWindow is the length of the pinned-digest runs: long enough to
@@ -128,12 +95,11 @@ func loadDigests(t *testing.T) map[string]string {
 
 // TestSpecOracle pins the nine benchmarks' simulated behaviour. For every
 // benchmark, policy and digest seed, the full Result of a run from
-// workload.New must match the digest checked in under testdata/ (-update
-// rewrites the table; a changed digest means the benchmarks or the
-// simulator changed, which must be deliberate, and a change that adds a
-// Result field changes every digest). The checked-in spec must compile to
-// the same Result, and a trace recorded from the generator must replay to
-// it again.
+// workload.New, which compiles the checked-in spec, must match the digest
+// checked in under testdata/ (-update rewrites the table; a changed digest
+// means the benchmarks or the simulator changed, which must be deliberate,
+// and a change that adds a Result field changes every digest). A trace
+// recorded from the generator must replay to the same Result again.
 func TestSpecOracle(t *testing.T) {
 	var pins map[string]string
 	if !*update {
@@ -143,10 +109,6 @@ func TestSpecOracle(t *testing.T) {
 	table.WriteString("# bench policy seed digest: Result digests pinned by TestSpecOracle (-update rewrites)\n")
 	cells := 0
 	for _, bench := range workload.Benchmarks() {
-		s, err := spec.LoadFile(filepath.Join(specsDir, bench+".json"))
-		if err != nil {
-			t.Fatalf("%s: %v", bench, err)
-		}
 		for _, pol := range policies {
 			t.Run(bench+"/"+pol.name, func(t *testing.T) {
 				for _, seed := range digestSeeds {
@@ -157,14 +119,6 @@ func TestSpecOracle(t *testing.T) {
 					cells++
 					if !*update && got != pins[key] {
 						t.Errorf("%s: Result digest %s, pinned %s:\n  %+v", key, got, pins[key], live)
-					}
-
-					specGen, err := spec.Compile(s, seed)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if fromSpec := runGen(t, specGen, pol.mk, digestWindow); fromSpec != live {
-						t.Errorf("seed %d: spec-compiled run diverges from built-in generator:\n  live: %+v\n  spec: %+v", seed, live, fromSpec)
 					}
 
 					tr := trace.Record(workload.MustNew(bench, seed), digestWindow+trace.DefaultHeadroom, trace.Meta{
@@ -199,7 +153,7 @@ func TestThrashSpecOracle(t *testing.T) {
 	const window = 60_000
 	for _, pol := range policies {
 		t.Run(pol.name, func(t *testing.T) {
-			liveGen, err := spec.Compile(s, oracleSeed)
+			liveGen, err := workload.Compile(s, oracleSeed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -208,7 +162,7 @@ func TestThrashSpecOracle(t *testing.T) {
 				t.Fatalf("thrash run committed only %d of %d", live.Instructions, window)
 			}
 
-			recGen, err := spec.Compile(s, oracleSeed)
+			recGen, err := workload.Compile(s, oracleSeed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -249,7 +203,7 @@ func TestSMTMixSpecOracle(t *testing.T) {
 		return rep
 	}
 
-	liveThreads, err := spec.CompileMix(s, oracleSeed)
+	liveThreads, err := workload.CompileMix(s, oracleSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +216,7 @@ func TestSMTMixSpecOracle(t *testing.T) {
 	// Replay arm: record each thread's stream from a fresh compile, then
 	// feed replayers instead of live generators. An SMT epoch can fetch at
 	// most epochs*epochCycles*FetchWidth instructions; headroom on top.
-	recThreads, err := spec.CompileMix(s, oracleSeed)
+	recThreads, err := workload.CompileMix(s, oracleSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

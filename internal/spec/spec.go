@@ -4,10 +4,10 @@
 // dependence and locality profiles, or a multi-programmed mix of such
 // programs for the SMT co-schedule studies.
 //
-// A spec compiles into the same engine behind the nine built-in benchmarks
-// (workload.Custom), so a spec whose phases equal a built-in program's
-// phases produces a byte-identical instruction stream — the property the
-// checked-in specs under specs/ prove for all nine (see TestSpecOracle).
+// This package holds only the format: parsing, validation, canonical
+// serialization, fingerprinting and the sampleable Dist. workload.Compile
+// turns a spec into an instruction stream, and the nine built-in benchmarks
+// are themselves specs, checked in under specs/ at the repository root.
 // Distribution-valued fields (phase lengths, dependence-chain counts) are
 // expanded at compile time by deterministic inverse-CDF sampling off
 // internal/rng: the same (spec, seed) pair always yields the same program.
@@ -24,7 +24,7 @@ import (
 	"hash/fnv"
 	"os"
 
-	"clustersim/internal/workload"
+	"clustersim/internal/rng"
 )
 
 // Version is the spec format version this package reads and writes.
@@ -76,6 +76,15 @@ type Phase struct {
 	Repeat int `json:"repeat,omitempty"`
 	// Profile is the phase's kernel parameters.
 	Profile Profile `json:"profile"`
+}
+
+// Sample draws one instance's length and chain count from r in the
+// format's draw order (length, then chains; a constant draws nothing),
+// clamped to the validation bounds.
+func (p *Phase) Sample(r *rng.Source) (length int64, chains int) {
+	length = p.Length.SampleInt(r, 1, maxPhaseLen)
+	chains = int(p.Profile.Chains.SampleInt(r, 1, maxChains))
+	return length, chains
 }
 
 // Profile mirrors workload.Kernel field for field (see that type for
@@ -316,43 +325,4 @@ func (p *Profile) validate() error {
 		return fmt.Errorf("stride %d outside [%d,%d]", p.Stride, int64(-maxStride), int64(maxStride))
 	}
 	return nil
-}
-
-// FromPhases expresses an exported phase list as an all-constant spec. It
-// is the bridge that regenerates the checked-in specs under specs/ from
-// the built-in benchmark definitions (see TestBuiltinSpecGoldens) and a
-// convenient constructor for programmatic specs.
-func FromPhases(name string, phases []workload.Phase) *Spec {
-	s := &Spec{Version: Version, Name: name}
-	for _, p := range phases {
-		s.Phases = append(s.Phases, Phase{
-			Name:   p.Name,
-			Length: Const(float64(p.Length)),
-			Profile: Profile{
-				Chains:         Const(float64(p.Kernel.Chains)),
-				FP:             p.Kernel.FP,
-				LoadFrac:       p.Kernel.LoadFrac,
-				StoreFrac:      p.Kernel.StoreFrac,
-				BranchFrac:     p.Kernel.BranchFrac,
-				MultFrac:       p.Kernel.MultFrac,
-				CrossFrac:      p.Kernel.CrossFrac,
-				FreshFrac:      p.Kernel.FreshFrac,
-				LoopBody:       p.Kernel.LoopBody,
-				LoopIters:      p.Kernel.LoopIters,
-				IterJitter:     p.Kernel.IterJitter,
-				RandBranchFrac: p.Kernel.RandBranchFrac,
-				RandTakenProb:  p.Kernel.RandTakenProb,
-				Stride:         p.Kernel.Stride,
-				Footprint:      p.Kernel.Footprint,
-				RandomAddr:     p.Kernel.RandomAddr,
-				Chase:          p.Kernel.Chase,
-				AddrDepFrac:    p.Kernel.AddrDepFrac,
-				ReuseFrac:      p.Kernel.ReuseFrac,
-				StaticBlocks:   p.Kernel.StaticBlocks,
-				CallEvery:      p.Kernel.CallEvery,
-				Funcs:          p.Kernel.Funcs,
-			},
-		})
-	}
-	return s
 }

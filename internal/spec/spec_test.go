@@ -10,11 +10,11 @@ import (
 
 	"clustersim/internal/isa"
 	"clustersim/internal/spec"
+	"clustersim/internal/workload"
 )
 
-// -update rewrites the checked-in golden artifacts: the malformed-spec
-// error transcript under testdata/ and the nine benchmark specs under
-// specs/ at the repository root (see TestBuiltinSpecGoldens).
+// -update rewrites the golden artifacts under testdata/: the malformed-spec
+// error transcript and the benchmark Result digests (see TestSpecOracle).
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // roundTripCases are valid spec documents covering every distribution kind
@@ -112,11 +112,11 @@ func TestRoundTrip(t *testing.T) {
 // generated instructions.
 func streamsEqual(t *testing.T, a, b *spec.Spec, seed uint64, n int) bool {
 	t.Helper()
-	ga, err := spec.Compile(a, seed)
+	ga, err := workload.Compile(a, seed)
 	if err != nil {
 		t.Fatalf("Compile a: %v", err)
 	}
-	gb, err := spec.Compile(b, seed)
+	gb, err := workload.Compile(b, seed)
 	if err != nil {
 		t.Fatalf("Compile b: %v", err)
 	}
@@ -158,10 +158,10 @@ func TestCompileRejectsMix(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if _, err := spec.Compile(s, 1); err == nil {
+	if _, err := workload.Compile(s, 1); err == nil {
 		t.Fatalf("Compile accepted a mix spec")
 	}
-	if _, err := spec.CompileMix(s, 1); err != nil {
+	if _, err := workload.CompileMix(s, 1); err != nil {
 		t.Fatalf("CompileMix: %v", err)
 	}
 }
@@ -171,7 +171,7 @@ func TestCompileMix(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	threads, err := spec.CompileMix(s, 10)
+	threads, err := workload.CompileMix(s, 10)
 	if err != nil {
 		t.Fatalf("CompileMix: %v", err)
 	}
@@ -185,7 +185,7 @@ func TestCompileMix(t *testing.T) {
 		t.Errorf("thread 1 = %+v, want inline seed 17", threads[1])
 	}
 	// Same mix, same seed: both compiles yield identical streams.
-	again, err := spec.CompileMix(s, 10)
+	again, err := workload.CompileMix(s, 10)
 	if err != nil {
 		t.Fatalf("CompileMix again: %v", err)
 	}

@@ -1,15 +1,23 @@
 package workload
 
-// This file defines the nine synthetic benchmarks, one per program in the
-// paper's Table 3. Each kernel's parameters are calibrated (see
-// TestCalibrationSweep in internal/pipeline) against the paper's published
-// characteristics: Chains sets the ILP class, LoopIters/RandBranchFrac set
-// the branch-mispredict interval, Footprint/RandomAddr/Chase set memory
-// behaviour, AddrDepFrac sets how much of the memory latency lands on the
-// critical path, and the phase list reproduces the program's Table 4 phase
-// structure (lengths scaled ~10x down to match our shorter simulation
-// windows).
+import (
+	"fmt"
+	"sync"
 
+	"clustersim/internal/spec"
+	"clustersim/specs"
+)
+
+// paperData holds the published numbers the nine benchmark specs target,
+// one per program in the paper's Table 3. Each spec's kernel parameters
+// are calibrated (see TestCalibrationSweep in internal/pipeline) against
+// these characteristics: chains sets the ILP class, loop_iters and
+// rand_branch_frac set the branch-mispredict interval, footprint,
+// random_addr and chase set memory behaviour, addr_dep_frac sets how much
+// of the memory latency lands on the critical path, and the phase list
+// reproduces the program's Table 4 phase structure (lengths scaled ~10x
+// down to match our shorter simulation windows). Each spec's doc field
+// records its program's calibration.
 var paperData = map[string]PaperData{
 	"cjpeg":  {Suite: "Mediabench", BaseIPC: 2.06, MispredictInterval: 82, MinStableInterval: 40e3, InstabilityAt10K: 9, PrefersWide: false},
 	"crafty": {Suite: "SPEC2k Int", BaseIPC: 1.85, MispredictInterval: 118, MinStableInterval: 320e3, InstabilityAt10K: 30, PrefersWide: false},
@@ -22,265 +30,19 @@ var paperData = map[string]PaperData{
 	"vpr":    {Suite: "SPEC2k Int", BaseIPC: 1.20, MispredictInterval: 171, MinStableInterval: 320e3, InstabilityAt10K: 14, PrefersWide: false},
 }
 
-var programs = map[string]program{
-	// swim: loop-based FP with huge distant ILP; memory-bound (large
-	// streaming arrays), near-perfectly-predictable branches (one
-	// mispredict per ~22.6K-instruction loop exit). Uniform behaviour.
-	"swim": {
-		name: "swim",
-		phases: []phaseSpec{
-			{name: "stream", length: 1_000_000, k: kernel{
-				Chains: 28, FP: true,
-				LoadFrac: 0.28, StoreFrac: 0.14, BranchFrac: 0.02, MultFrac: 0.40,
-				CrossFrac: 0.05, FreshFrac: 0.02,
-				LoopBody: 100, LoopIters: 520,
-				Stride: 8, Footprint: 8 << 20, AddrDepFrac: 0.10,
-				StaticBlocks: 4,
-			}},
-		},
-	},
-
-	// mgrid: loop-based FP, distant ILP, working set mostly cache-
-	// resident, ~9K instructions between mispredicts. Uniform behaviour.
-	"mgrid": {
-		name: "mgrid",
-		phases: []phaseSpec{
-			{name: "relax", length: 1_000_000, k: kernel{
-				Chains: 24, FP: true,
-				LoadFrac: 0.30, StoreFrac: 0.10, BranchFrac: 0.02, MultFrac: 0.25,
-				CrossFrac: 0.06, FreshFrac: 0.02,
-				LoopBody: 90, LoopIters: 220,
-				Stride: 8, Footprint: 384 << 10, AddrDepFrac: 0.10,
-				StaticBlocks: 6,
-			}},
-		},
-	},
-
-	// galgel: FP with distant ILP but branchy (a mispredict every ~88
-	// instructions); small, cache-resident working set keeps branch
-	// resolution fast and IPC high. Near-uniform.
-	"galgel": {
-		name: "galgel",
-		phases: []phaseSpec{
-			// Mispredicts come in bursts: long clean solver stretches
-			// (where the window grows past 120 and wide machines win)
-			// alternate with short branchy pivot searches. The average
-			// matches Table 3's 88-instruction mispredict interval while
-			// leaving distant ILP for Figure 3's scaling.
-			{name: "solve", length: 3_600, k: kernel{
-				Chains: 32, FP: true,
-				LoadFrac: 0.25, StoreFrac: 0.08, BranchFrac: 0.06, MultFrac: 0.25,
-				CrossFrac: 0.04, FreshFrac: 0.03,
-				LoopBody: 60, LoopIters: 64,
-				Stride: 8, Footprint: 192 << 10, AddrDepFrac: 0.08,
-				StaticBlocks: 3,
-			}},
-			{name: "pivot", length: 1_300, k: kernel{
-				Chains: 12, FP: true,
-				LoadFrac: 0.26, StoreFrac: 0.08, BranchFrac: 0.14, MultFrac: 0.15,
-				CrossFrac: 0.06, FreshFrac: 0.04,
-				LoopBody: 30, LoopIters: 16,
-				RandBranchFrac: 0.55, RandTakenProb: 0.5,
-				Stride: 8, Footprint: 16 << 10, AddrDepFrac: 0.10,
-				StaticBlocks: 2,
-			}},
-		},
-	},
-
-	// djpeg: the highest-IPC program; alternates fine-grained sub-phases
-	// (IDCT-like high-ILP blocks vs. low-ILP bookkeeping), giving 31%
-	// instability at 10K intervals but stability at ~1.28M. Integer mix
-	// with heavy multiplies.
-	"djpeg": {
-		name: "djpeg",
-		phases: []phaseSpec{
-			{name: "idct", length: 6_000, k: kernel{
-				Chains:   40,
-				LoadFrac: 0.22, StoreFrac: 0.10, BranchFrac: 0.08, MultFrac: 0.30,
-				CrossFrac: 0.04, FreshFrac: 0.04,
-				LoopBody: 64, LoopIters: 64,
-				RandBranchFrac: 0.10, RandTakenProb: 0.5,
-				Stride: 8, Footprint: 128 << 10, AddrDepFrac: 0.10,
-				StaticBlocks: 3,
-			}},
-			{name: "huffman", length: 3_000, k: kernel{
-				Chains:   8,
-				LoadFrac: 0.28, StoreFrac: 0.08, BranchFrac: 0.12, MultFrac: 0.05,
-				CrossFrac: 0.10, FreshFrac: 0.05,
-				LoopBody: 24, LoopIters: 12, IterJitter: 4,
-				RandBranchFrac: 0.08, RandTakenProb: 0.4,
-				Stride: 8, Footprint: 32 << 10, AddrDepFrac: 0.50,
-				StaticBlocks: 3,
-			}},
-		},
-	},
-
-	// cjpeg: moderate ILP with smallish alternating phases (stable only
-	// beyond ~40K-instruction intervals).
-	"cjpeg": {
-		name: "cjpeg",
-		phases: []phaseSpec{
-			{name: "fdct", length: 30_000, k: kernel{
-				Chains:   24,
-				LoadFrac: 0.24, StoreFrac: 0.10, BranchFrac: 0.08, MultFrac: 0.25,
-				CrossFrac: 0.04, FreshFrac: 0.04,
-				LoopBody: 48, LoopIters: 40,
-				RandBranchFrac: 0.14, RandTakenProb: 0.5,
-				Stride: 8, Footprint: 256 << 10, AddrDepFrac: 0.12,
-				StaticBlocks: 3,
-			}},
-			{name: "quant", length: 12_000, k: kernel{
-				Chains:   5,
-				LoadFrac: 0.30, StoreFrac: 0.10, BranchFrac: 0.14, MultFrac: 0.10,
-				CrossFrac: 0.12, FreshFrac: 0.05,
-				LoopBody: 20, LoopIters: 10, IterJitter: 3,
-				RandBranchFrac: 0.16, RandTakenProb: 0.5,
-				Stride: 8, Footprint: 32 << 10, AddrDepFrac: 0.55,
-				StaticBlocks: 3,
-			}},
-		},
-	},
-
-	// gzip: prolonged phases, some with distant ILP (match scanning) and
-	// some without (literal/output handling) — the program where dynamic
-	// reconfiguration beats every static configuration.
-	"gzip": {
-		name: "gzip",
-		phases: []phaseSpec{
-			{name: "deflate-ilp", length: 400_000, k: kernel{
-				Chains:   18,
-				LoadFrac: 0.26, StoreFrac: 0.08, BranchFrac: 0.10, MultFrac: 0.05,
-				CrossFrac: 0.04, FreshFrac: 0.03,
-				LoopBody: 56, LoopIters: 40,
-				RandBranchFrac: 0.08, RandTakenProb: 0.5,
-				Stride: 8, Footprint: 512 << 10, AddrDepFrac: 0.12,
-				StaticBlocks: 4,
-			}},
-			{name: "output", length: 400_000, k: kernel{
-				Chains:   4,
-				LoadFrac: 0.28, StoreFrac: 0.12, BranchFrac: 0.15, MultFrac: 0.02,
-				CrossFrac: 0.15, FreshFrac: 0.05,
-				LoopBody: 20, LoopIters: 8, IterJitter: 3,
-				RandBranchFrac: 0.17, RandTakenProb: 0.5,
-				Stride: 8, Footprint: 24 << 10, AddrDepFrac: 0.65,
-				StaticBlocks: 4,
-			}},
-		},
-	},
-
-	// crafty: call-heavy integer code with highly variable short phases
-	// (30% instability at 10K; stable only beyond ~320K); board/hash
-	// data mostly cache-resident.
-	"crafty": {
-		name: "crafty",
-		phases: []phaseSpec{
-			{name: "search", length: 40_000, k: kernel{
-				Chains:   6,
-				LoadFrac: 0.26, StoreFrac: 0.08, BranchFrac: 0.14, MultFrac: 0.04,
-				CrossFrac: 0.12, FreshFrac: 0.05,
-				LoopBody: 30, LoopIters: 13, IterJitter: 4,
-				RandBranchFrac: 0.06, RandTakenProb: 0.4,
-				RandomAddr: true, Footprint: 28 << 10, AddrDepFrac: 0.45,
-				StaticBlocks: 5, CallEvery: 2, Funcs: 3,
-			}},
-			{name: "evaluate", length: 25_000, k: kernel{
-				Chains:   20,
-				LoadFrac: 0.30, StoreFrac: 0.06, BranchFrac: 0.12, MultFrac: 0.06,
-				CrossFrac: 0.05, FreshFrac: 0.04,
-				LoopBody: 40, LoopIters: 17, IterJitter: 3,
-				RandBranchFrac: 0.04, RandTakenProb: 0.4,
-				Stride: 8, Footprint: 384 << 10, AddrDepFrac: 0.12,
-				StaticBlocks: 4, CallEvery: 3, Funcs: 2,
-			}},
-			{name: "movegen", length: 50_000, k: kernel{
-				Chains:   4,
-				LoadFrac: 0.24, StoreFrac: 0.10, BranchFrac: 0.16, MultFrac: 0.02,
-				CrossFrac: 0.14, FreshFrac: 0.06,
-				LoopBody: 24, LoopIters: 11, IterJitter: 3,
-				RandBranchFrac: 0.07, RandTakenProb: 0.45,
-				RandomAddr: true, Footprint: 24 << 10, AddrDepFrac: 0.50,
-				StaticBlocks: 5, CallEvery: 2, Funcs: 3,
-			}},
-			{name: "hash", length: 30_000, k: kernel{
-				Chains:   8,
-				LoadFrac: 0.32, StoreFrac: 0.08, BranchFrac: 0.12, MultFrac: 0.08,
-				CrossFrac: 0.06, FreshFrac: 0.04,
-				RandomAddr: true, Footprint: 96 << 10, AddrDepFrac: 0.30,
-				LoopBody: 36, LoopIters: 15, IterJitter: 2,
-				RandBranchFrac: 0.04, RandTakenProb: 0.4,
-				StaticBlocks: 4, CallEvery: 4, Funcs: 2,
-			}},
-		},
-	},
-
-	// parser: input-dependent behaviour with very long irregular phases
-	// (the paper's 40M minimum interval, scaled to ~4M here); dictionary
-	// lookups pointer-chase through a mostly cache-resident working set.
-	"parser": {
-		name: "parser",
-		phases: []phaseSpec{
-			{name: "tokenize", length: 1_500_000, k: kernel{
-				Chains:   5,
-				LoadFrac: 0.28, StoreFrac: 0.08, BranchFrac: 0.16, MultFrac: 0.02,
-				CrossFrac: 0.08, FreshFrac: 0.05,
-				LoopBody: 24, LoopIters: 12, IterJitter: 2,
-				RandBranchFrac: 0.06, RandTakenProb: 0.5,
-				RandomAddr: true, Footprint: 112 << 10, AddrDepFrac: 0.50,
-				StaticBlocks: 4,
-			}},
-			{name: "scan", length: 150_000, k: kernel{
-				Chains:   20,
-				LoadFrac: 0.28, StoreFrac: 0.06, BranchFrac: 0.10, MultFrac: 0.04,
-				CrossFrac: 0.04, FreshFrac: 0.04,
-				LoopBody: 40, LoopIters: 24,
-				RandBranchFrac: 0.05, RandTakenProb: 0.5,
-				Stride: 8, Footprint: 512 << 10, AddrDepFrac: 0.12,
-				StaticBlocks: 3,
-			}},
-			{name: "link", length: 1_000_000, k: kernel{
-				Chains:   6,
-				LoadFrac: 0.30, StoreFrac: 0.06, BranchFrac: 0.16, MultFrac: 0.02,
-				CrossFrac: 0.06, FreshFrac: 0.04,
-				LoopBody: 20, LoopIters: 9, IterJitter: 2,
-				RandBranchFrac: 0.07, RandTakenProb: 0.5,
-				RandomAddr: true, Chase: true, Footprint: 40 << 10,
-				StaticBlocks: 4,
-			}},
-			{name: "prune", length: 1_500_000, k: kernel{
-				Chains:   5,
-				LoadFrac: 0.26, StoreFrac: 0.10, BranchFrac: 0.14, MultFrac: 0.03,
-				CrossFrac: 0.09, FreshFrac: 0.05,
-				LoopBody: 28, LoopIters: 14, IterJitter: 3,
-				RandBranchFrac: 0.055, RandTakenProb: 0.45,
-				RandomAddr: true, Footprint: 112 << 10, AddrDepFrac: 0.50,
-				StaticBlocks: 4,
-			}},
-		},
-	},
-
-	// vpr: the lowest-IPC program — few chains, random placement/routing
-	// table accesses, moderate mispredict rate, medium-length phases.
-	"vpr": {
-		name: "vpr",
-		phases: []phaseSpec{
-			{name: "place", length: 80_000, k: kernel{
-				Chains:   3,
-				LoadFrac: 0.30, StoreFrac: 0.08, BranchFrac: 0.11, MultFrac: 0.03,
-				CrossFrac: 0.10, FreshFrac: 0.04,
-				LoopBody: 26, LoopIters: 13, IterJitter: 3,
-				RandBranchFrac: 0.035, RandTakenProb: 0.5,
-				RandomAddr: true, Footprint: 64 << 10, AddrDepFrac: 0.50,
-				StaticBlocks: 4,
-			}},
-			{name: "route", length: 60_000, k: kernel{
-				Chains:   14,
-				LoadFrac: 0.28, StoreFrac: 0.10, BranchFrac: 0.12, MultFrac: 0.03,
-				CrossFrac: 0.06, FreshFrac: 0.05,
-				LoopBody: 30, LoopIters: 17, IterJitter: 3,
-				RandBranchFrac: 0.03, RandTakenProb: 0.5,
-				RandomAddr: true, Footprint: 192 << 10, AddrDepFrac: 0.20,
-				StaticBlocks: 4,
-			}},
-		},
-	},
-}
+// builtins parses the embedded benchmark specs, once per process.
+var builtins = sync.OnceValues(func() (map[string]*spec.Spec, error) {
+	m := make(map[string]*spec.Spec, len(paperData))
+	for _, name := range Benchmarks() {
+		data, err := specs.FS.ReadFile(name + ".json")
+		if err != nil {
+			return nil, fmt.Errorf("workload: benchmark %s: %w", name, err)
+		}
+		s, err := spec.Parse(data)
+		if err != nil {
+			return nil, fmt.Errorf("workload: benchmark %s: %w", name, err)
+		}
+		m[name] = s
+	}
+	return m, nil
+})

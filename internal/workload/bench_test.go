@@ -16,23 +16,39 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// TestProgramDefinitionsSane validates every benchmark's kernel parameters
-// structurally, so a mistyped constant fails fast rather than producing a
-// silently miscalibrated program.
+// TestProgramDefinitionsSane validates every benchmark's embedded spec and
+// the kernel parameters it compiles to, so a mistyped constant fails fast
+// rather than producing a silently miscalibrated program. Every length and
+// chain count must be a constant: a benchmark must never vary with the
+// spec expansion RNG.
 func TestProgramDefinitionsSane(t *testing.T) {
-	for _, name := range sortedKeys(programs) {
-		prog := programs[name]
-		if prog.name != name {
-			t.Errorf("%s: program name field %q mismatched", name, prog.name)
+	m, err := builtins()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range Benchmarks() {
+		s := m[name]
+		if s.Name != name {
+			t.Errorf("%s: spec name field %q mismatched", name, s.Name)
 		}
-		if len(prog.phases) == 0 {
+		if len(s.Phases) == 0 {
 			t.Errorf("%s: no phases", name)
 			continue
 		}
-		for _, ph := range prog.phases {
-			k := ph.k
-			ctx := name + "/" + ph.name
-			if ph.length <= 0 {
+		for i := range s.Phases {
+			if p := &s.Phases[i]; !p.Length.IsConst() || !p.Profile.Chains.IsConst() {
+				t.Errorf("%s/%s: length and chains must be constants", name, p.Name)
+			}
+		}
+		gen, err := Compile(s, 1)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		for _, ph := range gen.(*engine).prog.phases {
+			k := ph.Kernel
+			ctx := name + "/" + ph.Name
+			if ph.Length <= 0 {
 				t.Errorf("%s: non-positive phase length", ctx)
 			}
 			if k.Chains < 1 {

@@ -1,10 +1,10 @@
-package spec
+package workload
 
 import (
 	"fmt"
 
 	"clustersim/internal/rng"
-	"clustersim/internal/workload"
+	"clustersim/internal/spec"
 )
 
 // expandSalt decorrelates the expansion RNG (which samples phase lengths
@@ -12,60 +12,51 @@ import (
 // from the same seed with their own salts.
 const expandSalt = 0xD157_5EED_CA5C_ADE5
 
-// Compile builds the spec's generator: distribution-valued fields are
+// Compile builds a spec's generator: distribution-valued fields are
 // expanded by inverse-CDF sampling off rng.New(seed ^ expandSalt) — phases
 // in order, length then chains per instance; constants consume no draws —
-// and the expanded phase list feeds workload.Custom under the same seed.
-// An all-constant spec therefore compiles to exactly the phase list it
-// spells out: a spec transcribing a built-in benchmark yields a
-// byte-identical instruction stream.
+// and the expanded phase list feeds Custom under the same seed. An
+// all-constant spec therefore compiles to exactly the phase list it spells
+// out, whatever the seed; the nine built-in benchmarks are such specs.
 //
 // Mix specs describe multiple threads, not one program; compile those with
 // CompileMix.
-func Compile(s *Spec, seed uint64) (workload.Generator, error) {
+func Compile(s *spec.Spec, seed uint64) (Generator, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	if len(s.Mix) > 0 {
 		return nil, fmt.Errorf("spec %s: a mix describes %d threads, not one program (use CompileMix)", s.Name, len(s.Mix))
 	}
-	phases := expandPhases(s.Phases, seed)
-	return workload.Custom(s.Name, phases, seed)
+	return Custom(s.Name, expandPhases(s.Phases, seed), seed)
 }
 
 // expandPhases samples every distribution-valued field into a concrete
-// workload phase list. The draw order is part of the format's contract
-// (documented on Compile): phases in declaration order, each repeat
-// instance drawing length first, then chains.
-func expandPhases(phases []Phase, seed uint64) []workload.Phase {
+// phase list. The draw order is part of the format's contract (documented
+// on Compile): phases in declaration order, each repeat instance drawing
+// length first, then chains.
+func expandPhases(phases []spec.Phase, seed uint64) []Phase {
 	r := rng.New(seed ^ expandSalt)
-	out := make([]workload.Phase, 0, len(phases))
-	for _, p := range phases {
-		rep := p.Repeat
-		if rep == 0 {
-			rep = 1
-		}
+	out := make([]Phase, 0, len(phases))
+	for i := range phases {
+		p := &phases[i]
+		rep := max(p.Repeat, 1)
 		for j := 0; j < rep; j++ {
 			name := p.Name
 			if rep > 1 && name != "" {
 				name = fmt.Sprintf("%s#%d", name, j)
 			}
-			length := p.Length.SampleInt(r, 1, maxPhaseLen)
-			chains := int(p.Profile.Chains.SampleInt(r, 1, maxChains))
-			out = append(out, workload.Phase{
-				Name:   name,
-				Length: length,
-				Kernel: p.Profile.kernel(chains),
-			})
+			length, chains := p.Sample(r)
+			out = append(out, Phase{Name: name, Length: length, Kernel: kernelOf(&p.Profile, chains)})
 		}
 	}
 	return out
 }
 
-// kernel converts the profile to the exported engine kernel with the
-// sampled chain count substituted.
-func (p *Profile) kernel(chains int) workload.Kernel {
-	return workload.Kernel{
+// kernelOf converts a spec profile to the engine kernel with the sampled
+// chain count substituted.
+func kernelOf(p *spec.Profile, chains int) Kernel {
+	return Kernel{
 		Chains:         chains,
 		FP:             p.FP,
 		LoadFrac:       p.LoadFrac,
@@ -101,13 +92,13 @@ type MixThread struct {
 	// Clusters is the spec's fixed-partition hint (0 = policy decides).
 	Clusters int
 	// Gen is the thread's instruction stream.
-	Gen workload.Generator
+	Gen Generator
 }
 
 // CompileMix builds one generator per mix entry: built-in benchmarks
-// through workload.New, inline programs through Compile, each under
+// through New, inline programs through Compile, each under
 // seed + SeedOffset.
-func CompileMix(s *Spec, seed uint64) ([]MixThread, error) {
+func CompileMix(s *spec.Spec, seed uint64) ([]MixThread, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -118,13 +109,13 @@ func CompileMix(s *Spec, seed uint64) ([]MixThread, error) {
 	for i, e := range s.Mix {
 		t := MixThread{Seed: seed + e.SeedOffset, Clusters: e.Clusters}
 		if e.Bench != "" {
-			gen, err := workload.New(e.Bench, t.Seed)
+			gen, err := New(e.Bench, t.Seed)
 			if err != nil {
 				return nil, fmt.Errorf("spec %s: mix[%d]: %w", s.Name, i, err)
 			}
 			t.Name, t.Gen = e.Bench, gen
 		} else {
-			sub := &Spec{Version: Version, Name: e.Name, Phases: e.Phases}
+			sub := &spec.Spec{Version: spec.Version, Name: e.Name, Phases: e.Phases}
 			gen, err := Compile(sub, t.Seed)
 			if err != nil {
 				return nil, fmt.Errorf("spec %s: mix[%d]: %w", s.Name, i, err)

@@ -2,50 +2,11 @@ package workload
 
 import "fmt"
 
-// Kernel is the exported mirror of the synthetic-program kernel parameters,
-// for building custom workloads (and for fuzzing the generator over its
-// whole parameter space). Zero values select the engine defaults documented
-// on the internal kernel type; fractions are probabilities in [0,1].
-type Kernel struct {
-	// Chains is the number of independent serial dependence chains (>= 1).
-	Chains int
-	// FP selects a floating-point-dominated arithmetic mix.
-	FP bool
-	// LoadFrac, StoreFrac and BranchFrac are the fractions of body
-	// instructions that are loads, stores and forward branches.
-	LoadFrac, StoreFrac, BranchFrac float64
-	// MultFrac is the fraction of arithmetic using the multiplier.
-	MultFrac float64
-	// CrossFrac is the probability an operation reads from a neighbouring
-	// chain; FreshFrac the probability an operand is architected.
-	CrossFrac, FreshFrac float64
-	// LoopBody and LoopIters shape the innermost loop; IterJitter
-	// randomizes the trip count by ±IterJitter.
-	LoopBody, LoopIters, IterJitter int
-	// RandBranchFrac and RandTakenProb control data-dependent branches.
-	RandBranchFrac, RandTakenProb float64
-	// Stride, Footprint, RandomAddr and Chase shape the memory reference
-	// stream; AddrDepFrac and ReuseFrac its dependence and locality.
-	Stride, Footprint int64
-	RandomAddr, Chase bool
-	AddrDepFrac       float64
-	ReuseFrac         float64
-	// StaticBlocks, CallEvery and Funcs shape the static code footprint.
-	StaticBlocks, CallEvery, Funcs int
-}
-
-// Phase is one phase of a custom program: a kernel executed for Length
-// dynamic instructions before the program cycles to the next phase.
-type Phase struct {
-	Name   string
-	Length int64
-	Kernel Kernel
-}
-
-// Custom builds a generator for an ad-hoc synthetic program. It is the same
-// engine behind the named benchmarks, exposed so tests and fuzz targets can
-// explore generator parameters the bundled programs never exercise. The
-// same (spec, seed) pair always yields the identical stream.
+// Custom builds a generator for an ad-hoc synthetic program. It is the
+// engine behind the named benchmarks and compiled specs, exposed so tests
+// and fuzz targets can explore generator parameters the bundled programs
+// never exercise. Fractions outside [0,1] are clamped. The same (phases,
+// seed) pair always yields the identical stream.
 func Custom(name string, phases []Phase, seed uint64) (Generator, error) {
 	if name == "" {
 		return nil, fmt.Errorf("workload: custom program needs a name")
@@ -53,7 +14,7 @@ func Custom(name string, phases []Phase, seed uint64) (Generator, error) {
 	if len(phases) == 0 {
 		return nil, fmt.Errorf("workload: custom program %q needs at least one phase", name)
 	}
-	p := program{name: name}
+	p := program{name: name, phases: make([]Phase, len(phases))}
 	for i, ph := range phases {
 		if ph.Length < 1 {
 			return nil, fmt.Errorf("workload: %s phase %d: Length must be >= 1, got %d", name, i, ph.Length)
@@ -61,82 +22,19 @@ func Custom(name string, phases []Phase, seed uint64) (Generator, error) {
 		if ph.Kernel.Chains < 1 {
 			return nil, fmt.Errorf("workload: %s phase %d: Chains must be >= 1, got %d", name, i, ph.Kernel.Chains)
 		}
-		k := kernel{
-			Chains:         ph.Kernel.Chains,
-			FP:             ph.Kernel.FP,
-			LoadFrac:       clamp01(ph.Kernel.LoadFrac),
-			StoreFrac:      clamp01(ph.Kernel.StoreFrac),
-			BranchFrac:     clamp01(ph.Kernel.BranchFrac),
-			MultFrac:       clamp01(ph.Kernel.MultFrac),
-			CrossFrac:      clamp01(ph.Kernel.CrossFrac),
-			FreshFrac:      clamp01(ph.Kernel.FreshFrac),
-			LoopBody:       ph.Kernel.LoopBody,
-			LoopIters:      ph.Kernel.LoopIters,
-			IterJitter:     ph.Kernel.IterJitter,
-			RandBranchFrac: clamp01(ph.Kernel.RandBranchFrac),
-			RandTakenProb:  clamp01(ph.Kernel.RandTakenProb),
-			Stride:         ph.Kernel.Stride,
-			Footprint:      ph.Kernel.Footprint,
-			RandomAddr:     ph.Kernel.RandomAddr,
-			Chase:          ph.Kernel.Chase,
-			AddrDepFrac:    clamp01(ph.Kernel.AddrDepFrac),
-			ReuseFrac:      ph.Kernel.ReuseFrac,
-			StaticBlocks:   ph.Kernel.StaticBlocks,
-			CallEvery:      ph.Kernel.CallEvery,
-			Funcs:          ph.Kernel.Funcs,
+		k := &ph.Kernel
+		for _, f := range []*float64{
+			&k.LoadFrac, &k.StoreFrac, &k.BranchFrac, &k.MultFrac, &k.CrossFrac,
+			&k.FreshFrac, &k.RandBranchFrac, &k.RandTakenProb, &k.AddrDepFrac,
+		} {
+			*f = clamp01(*f)
 		}
-		pname := ph.Name
-		if pname == "" {
-			pname = fmt.Sprintf("phase%d", i)
+		if ph.Name == "" {
+			ph.Name = fmt.Sprintf("phase%d", i)
 		}
-		p.phases = append(p.phases, phaseSpec{name: pname, length: ph.Length, k: k})
+		p.phases[i] = ph
 	}
 	return newEngine(p, seed), nil
-}
-
-// BuiltinPhases returns the named built-in benchmark's phase list in the
-// exported form Custom accepts, or false for an unknown name. It exists so
-// the declarative spec layer (internal/spec) can express the nine bundled
-// benchmarks as checked-in spec files and prove — by byte-identical
-// replay — that the format covers them; Custom over an unmodified
-// BuiltinPhases result reproduces New's stream exactly.
-func BuiltinPhases(name string) ([]Phase, bool) {
-	p, ok := programs[name]
-	if !ok {
-		return nil, false
-	}
-	out := make([]Phase, len(p.phases))
-	for i, ph := range p.phases {
-		out[i] = Phase{
-			Name:   ph.name,
-			Length: ph.length,
-			Kernel: Kernel{
-				Chains:         ph.k.Chains,
-				FP:             ph.k.FP,
-				LoadFrac:       ph.k.LoadFrac,
-				StoreFrac:      ph.k.StoreFrac,
-				BranchFrac:     ph.k.BranchFrac,
-				MultFrac:       ph.k.MultFrac,
-				CrossFrac:      ph.k.CrossFrac,
-				FreshFrac:      ph.k.FreshFrac,
-				LoopBody:       ph.k.LoopBody,
-				LoopIters:      ph.k.LoopIters,
-				IterJitter:     ph.k.IterJitter,
-				RandBranchFrac: ph.k.RandBranchFrac,
-				RandTakenProb:  ph.k.RandTakenProb,
-				Stride:         ph.k.Stride,
-				Footprint:      ph.k.Footprint,
-				RandomAddr:     ph.k.RandomAddr,
-				Chase:          ph.k.Chase,
-				AddrDepFrac:    ph.k.AddrDepFrac,
-				ReuseFrac:      ph.k.ReuseFrac,
-				StaticBlocks:   ph.k.StaticBlocks,
-				CallEvery:      ph.k.CallEvery,
-				Funcs:          ph.k.Funcs,
-			},
-		}
-	}
-	return out, true
 }
 
 func clamp01(f float64) float64 {

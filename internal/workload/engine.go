@@ -7,7 +7,9 @@ import (
 	"clustersim/internal/rng"
 )
 
-// kernel parameterizes the instruction-level behaviour of one program phase.
+// Kernel parameterizes the instruction-level behaviour of one program
+// phase. Fractions are probabilities in [0,1]; zero values select the
+// engine defaults noted on each field.
 //
 // The execution model: dynamic instructions are assigned round-robin to
 // Chains independent serial dependence chains — every operation in a chain
@@ -15,8 +17,8 @@ import (
 // knob: a wide window can issue from up to Chains chains at once, and
 // distant ILP (the paper's window>120 metric) appears exactly when Chains is
 // large and branches are predictable enough to keep the window full.
-type kernel struct {
-	// Chains is the number of independent serial dependence chains.
+type Kernel struct {
+	// Chains is the number of independent serial dependence chains (>= 1).
 	Chains int
 	// FP selects a floating-point-dominated arithmetic mix.
 	FP bool
@@ -77,18 +79,18 @@ type kernel struct {
 	Funcs     int
 }
 
-// phaseSpec is one phase of a program: a kernel executed for Length
-// dynamic instructions before the program moves to the next phase.
-type phaseSpec struct {
-	name   string
-	length int64
-	k      kernel
+// Phase is one phase of a program: a kernel executed for Length dynamic
+// instructions before the program cycles to the next phase.
+type Phase struct {
+	Name   string
+	Length int64
+	Kernel Kernel
 }
 
 // program is a named cyclic sequence of phases.
 type program struct {
 	name   string
-	phases []phaseSpec
+	phases []Phase
 }
 
 // staticInstr is one compiled instruction slot of a basic block.
@@ -104,7 +106,7 @@ type staticInstr struct {
 // compiledPhase is a phase's static code: blocks of staticInstrs at stable
 // PCs, plus optional function bodies.
 type compiledPhase struct {
-	k      kernel
+	k      Kernel
 	base   uint64
 	blocks [][]staticInstr
 	fns    [][]staticInstr
@@ -154,7 +156,7 @@ func newEngine(p program, seed uint64) *engine {
 	cr := rng.New(seed ^ 0xC0DEC0DEC0DEC0DE)
 	e.compiled = make([]compiledPhase, len(p.phases))
 	for i := range p.phases {
-		e.compiled[i] = compilePhase(i, p.phases[i].k, cr.Fork())
+		e.compiled[i] = compilePhase(i, p.phases[i].Kernel, cr.Fork())
 	}
 	e.Reset()
 	return e
@@ -175,8 +177,8 @@ func (e *engine) Reset() {
 func (e *engine) advancePhase() {
 	e.phaseIdx = (e.phaseIdx + 1) % len(e.prog.phases)
 	ph := &e.prog.phases[e.phaseIdx]
-	e.remaining = ph.length
-	k := &ph.k
+	e.remaining = ph.Length
+	k := &ph.Kernel
 	e.blk, e.idx, e.iter, e.blocksDone = 0, 0, 0, 0
 	e.pendingCall, e.inFn, e.fnIdx, e.fnPos = false, false, 0, 0
 	e.itersThis = e.drawIters(k)
@@ -210,7 +212,7 @@ func (e *engine) advancePhase() {
 	}
 }
 
-func (e *engine) drawIters(k *kernel) int {
+func (e *engine) drawIters(k *Kernel) int {
 	it := k.LoopIters
 	if k.IterJitter > 0 {
 		it += e.r.Intn(2*k.IterJitter+1) - k.IterJitter
@@ -227,7 +229,7 @@ func (e *engine) Next(in *isa.Instruction) {
 		e.advancePhase()
 	}
 	cp := &e.compiled[e.phaseIdx]
-	k := &e.prog.phases[e.phaseIdx].k
+	k := &e.prog.phases[e.phaseIdx].Kernel
 
 	switch {
 	case e.pendingCall:
@@ -339,7 +341,7 @@ func (e *engine) Next(in *isa.Instruction) {
 // code, and it determines everything the timing model measures: chain count
 // sets ILP, load placement sets memory-level parallelism, and the consumes
 // establish the inter-cluster traffic once chains are steered apart.
-func (e *engine) fill(in *isa.Instruction, s *staticInstr, pc uint64, k *kernel) {
+func (e *engine) fill(in *isa.Instruction, s *staticInstr, pc uint64, k *Kernel) {
 	c := int(s.chain)
 	if c >= len(e.chainLast) {
 		c %= len(e.chainLast)
@@ -401,7 +403,7 @@ func (e *engine) distTo(marker uint64) uint32 {
 }
 
 // nextAddr produces the next effective address for chain c.
-func (e *engine) nextAddr(c int, k *kernel) uint64 {
+func (e *engine) nextAddr(c int, k *Kernel) uint64 {
 	if k.RandomAddr {
 		off := e.r.Uint64() % e.regionLen
 		return e.addrBase[c] + off&^7
@@ -446,7 +448,7 @@ func (m *mixCarry) take(carry *float64, want float64) int {
 }
 
 // compilePhase lays out a phase's static code from the kernel parameters.
-func compilePhase(idx int, k kernel, r *rng.Source) compiledPhase {
+func compilePhase(idx int, k Kernel, r *rng.Source) compiledPhase {
 	cp := compiledPhase{k: k, base: uint64(idx+1) * phaseStride}
 	nb := k.StaticBlocks
 	if nb < 1 {
@@ -476,7 +478,7 @@ func compilePhase(idx int, k kernel, r *rng.Source) compiledPhase {
 // terminating slot (loop branch, or placeholder replaced by Return for
 // function bodies). Class counts are exact (stratified by carry); positions
 // are shuffled deterministically.
-func compileBlock(k kernel, r *rng.Source, loop bool, carry *mixCarry) []staticInstr {
+func compileBlock(k Kernel, r *rng.Source, loop bool, carry *mixCarry) []staticInstr {
 	n := k.LoopBody
 	if n < 4 {
 		n = 4

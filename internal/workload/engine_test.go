@@ -9,8 +9,8 @@ import (
 )
 
 // testKernel returns a small kernel with every feature exercisable.
-func testKernel() kernel {
-	return kernel{
+func testKernel() Kernel {
+	return Kernel{
 		Chains:   4,
 		LoadFrac: 0.3, StoreFrac: 0.1, BranchFrac: 0.1,
 		MultFrac: 0.2, CrossFrac: 0.1, FreshFrac: 0.05,
@@ -21,10 +21,10 @@ func testKernel() kernel {
 	}
 }
 
-func engineFor(k kernel, seed uint64) *engine {
+func engineFor(k Kernel, seed uint64) *engine {
 	return newEngine(program{
 		name:   "test",
-		phases: []phaseSpec{{name: "p0", length: 1 << 40, k: k}},
+		phases: []Phase{{Name: "p0", Length: 1 << 40, Kernel: k}},
 	}, seed)
 }
 

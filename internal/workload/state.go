@@ -99,7 +99,7 @@ func (e *engine) LoadState(r *snap.Reader) {
 			return
 		}
 	}
-	chains := e.prog.phases[phaseIdx].k.Chains
+	chains := e.prog.phases[phaseIdx].Kernel.Chains
 	if chains < 1 {
 		chains = 1
 	}

@@ -24,6 +24,12 @@
 // ratio of phase length to measurement interval — the quantity the
 // algorithms are sensitive to — is preserved.
 //
+// Each benchmark is a declarative spec (internal/spec) checked in as
+// specs/<name>.json and embedded into the binary; those files are the only
+// definition of the nine programs. New compiles them with Compile, which
+// also builds any other spec, and Custom is the engine entry point beneath
+// both.
+//
 // A program is a cyclic sequence of phases; each phase is a set of
 // statically compiled basic blocks (stable PCs, so branch/bank/
 // reconfiguration predictors can learn) executed as loops, with dynamic
@@ -71,8 +77,8 @@ type PaperData struct {
 
 // Benchmarks returns the sorted benchmark names.
 func Benchmarks() []string {
-	names := make([]string, 0, len(programs))
-	for name := range programs {
+	names := make([]string, 0, len(paperData))
+	for name := range paperData {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -85,14 +91,18 @@ func Paper(name string) (PaperData, bool) {
 	return p, ok
 }
 
-// New returns the named benchmark's generator, seeded deterministically.
-// The same (name, seed) pair always yields the identical stream.
+// New returns the named benchmark's generator, compiled from its embedded
+// spec and seeded deterministically. The same (name, seed) pair always
+// yields the identical stream.
 func New(name string, seed uint64) (Generator, error) {
-	p, ok := programs[name]
-	if !ok {
+	if _, ok := paperData[name]; !ok {
 		return nil, fmt.Errorf("workload: unknown benchmark %q (have %v)", name, Benchmarks())
 	}
-	return newEngine(p, seed), nil
+	m, err := builtins()
+	if err != nil {
+		return nil, err
+	}
+	return Compile(m[name], seed)
 }
 
 // MustNew is New but panics on an unknown name.

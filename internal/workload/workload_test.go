@@ -1,9 +1,13 @@
 package workload
 
 import (
+	"bytes"
+	"sync"
 	"testing"
 
 	"clustersim/internal/isa"
+	"clustersim/internal/spec"
+	"clustersim/specs"
 )
 
 func TestBenchmarksListed(t *testing.T) {
@@ -17,8 +21,20 @@ func TestBenchmarksListed(t *testing.T) {
 		}
 	}
 	for _, n := range sortedKeys(paperData) {
-		if _, ok := programs[n]; !ok {
-			t.Errorf("paper data for %s has no program", n)
+		data, err := specs.FS.ReadFile(n + ".json")
+		if err != nil {
+			t.Errorf("paper data for %s has no spec: %v", n, err)
+			continue
+		}
+		// The checked-in file is in canonical form, so it reads the same
+		// as anything the format writes.
+		s, err := spec.Parse(data)
+		if err != nil {
+			t.Errorf("specs/%s.json: %v", n, err)
+			continue
+		}
+		if out, err := s.Serialize(); err != nil || !bytes.Equal(out, data) {
+			t.Errorf("specs/%s.json is not in canonical form (Serialize: %v)", n, err)
 		}
 	}
 }
@@ -48,6 +64,37 @@ func TestDeterminism(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestNewConcurrent builds generators from several goroutines at once, as
+// a sweep's workers do; they share the parsed benchmark specs, so run it
+// under -race.
+func TestNewConcurrent(t *testing.T) {
+	names := Benchmarks()
+	want := make([]isa.Instruction, len(names))
+	for i, name := range names {
+		MustNew(name, 5).Next(&want[i])
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, name := range names {
+				g, err := New(name, 5)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var in isa.Instruction
+				g.Next(&in)
+				if in != want[i] {
+					t.Errorf("%s: concurrent generator diverges: %v vs %v", name, in, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestResetRewinds(t *testing.T) {
