@@ -57,7 +57,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	serve := fs.String("serve", "", "serve live metrics over HTTP on this address (e.g. :8080)")
 	servePprof := fs.Bool("pprof", false, "with -serve, also expose Go profiling endpoints under /debug/pprof/")
 	phases := fs.Bool("phases", false, "attribute simulator wall time to pipeline phases and print the table")
-	phaseSample := fs.Uint64("phase-sample", 0, "phase-attribution sampling period in cycles (0 = default, 1 in 64)")
 	checkInv := fs.Bool("check", false, "validate cycle-level invariants during the run (exit 1 on violation)")
 	legacyStepper := fs.Bool("legacy-stepper", false, "use the per-cycle scan stepper instead of the event-driven one (differential oracle / perf baseline)")
 	specFile := fs.String("spec", "", "run a declarative workload spec (JSON file) instead of -bench")
@@ -215,7 +214,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var ptimer *clustersim.PhaseTimer
 	if *phases {
-		ptimer = clustersim.NewPhaseTimer(*phaseSample)
+		ptimer = clustersim.NewPhaseTimer(0)
 		cfg.Phases = ptimer
 	}
 

@@ -8,7 +8,6 @@
 //	experiments -run fig5 -spec specs/phase-thrash.json -bench phase-thrash
 //	experiments -record-trace traces && experiments -run all -replay-trace traces
 //	experiments -run policy,counterfactual -policy-spec specs/policy/dilp-1k.json,specs/policy/fg-window540.json
-//	experiments -search 16 -bench gzip,vpr -scale 0.1
 //
 // Each experiment prints an aligned table whose rows/series correspond to
 // the paper artifact named by its ID (see -list). EXPERIMENTS.md records
@@ -33,8 +32,9 @@
 // failed cells, and every failure — with its stack or machine-state dump — is
 // written to the failure manifest (-manifest, default
 // <checkpoint-dir>/failures.json) and summarized on stderr. -timeout bounds
-// each run's wall-clock time, retried -retries times with backoff (a retry
-// resumes from the run's last snapshot when checkpointing is on).
+// each run's wall-clock time. A timed-out run is not retried: with
+// -checkpoint-dir set its last snapshot stays on disk, and rerunning with
+// -resume (and a longer -timeout) continues it from there.
 //
 // # Telemetry
 //
@@ -69,7 +69,6 @@ import (
 	"clustersim/internal/runner"
 	"clustersim/internal/spec"
 	"clustersim/internal/telemetry"
-	"clustersim/internal/workload"
 )
 
 func main() {
@@ -87,19 +86,16 @@ func main() {
 	ckDir := flag.String("checkpoint-dir", "", "crash-safety directory: runs snapshot here and persist finished results for -resume")
 	ckEvery := flag.Uint64("checkpoint-every", 500_000, "instructions between mid-run snapshots when -checkpoint-dir is set (0 = only resume/cleanup)")
 	resume := flag.Bool("resume", false, "preload results persisted under -checkpoint-dir by an earlier (possibly killed) invocation")
-	timeout := flag.Duration("timeout", 0, "wall-clock budget per run attempt (0 = unlimited); expiry is a transient, retryable failure")
-	retries := flag.Int("retries", 0, "extra attempts for transient (timed-out) runs")
+	timeout := flag.Duration("timeout", 0, "wall-clock budget per run (0 = unlimited); an expired run fails, and -resume continues it from its last snapshot")
 	manifest := flag.String("manifest", "", "failure-manifest path (default <checkpoint-dir>/failures.json; empty without -checkpoint-dir)")
 	progress := flag.String("progress", "", "stream JSONL progress events (with EWMA ETA) to this file, or '-' for stderr")
 	profileDir := flag.String("profile-dir", "", "capture whole-invocation CPU and heap pprof profiles under this directory")
 	phaseProfile := flag.Bool("phase-profile", false, "attribute sweep wall time to pipeline phases and print the table on stderr")
-	phaseSample := flag.Uint64("phase-sample", 0, "phase-attribution sampling period in cycles (0 = default, 1 in 64)")
 	serve := flag.String("serve", "", "serve live sweep metrics over HTTP on this address while experiments run")
 	servePprof := flag.Bool("pprof", false, "with -serve, also expose Go profiling endpoints under /debug/pprof/")
 	specFiles := flag.String("spec", "", "comma-separated declarative workload spec files to add to the benchmark set")
 	policySpecs := flag.String("policy-spec", "", "comma-separated policy spec files for the policy/counterfactual experiments (first = counterfactual base)")
 	cfK := flag.Int("counterfactual-k", 0, "alternative policies replayed per decision trace in the counterfactual experiment (0 = 3)")
-	searchN := flag.Int("search", 0, "run a deterministic policy tournament with this population instead of experiments (prints a ranked CSV leaderboard)")
 	recordTraceDir := flag.String("record-trace", "", "record every workload's instruction stream under this directory and exit without running experiments")
 	replayTraceDir := flag.String("replay-trace", "", "replay recorded instruction streams from this directory instead of generating workloads")
 	flag.Parse()
@@ -125,7 +121,6 @@ func main() {
 	rn := runner.New(*parallel)
 	rn.DisableCache = *noCache
 	rn.Timeout = *timeout
-	rn.Retries = *retries
 	rn.CheckpointDir = *ckDir
 	if *ckDir != "" {
 		rn.CheckpointEvery = *ckEvery
@@ -189,7 +184,7 @@ func main() {
 	}
 	var ptimer *telemetry.PhaseTimer
 	if *phaseProfile {
-		ptimer = telemetry.NewPhaseTimer(*phaseSample)
+		ptimer = telemetry.NewPhaseTimer(0)
 	}
 	if *resume {
 		if *ckDir == "" {
@@ -206,7 +201,7 @@ func main() {
 	opts := experiments.Options{
 		Seed: *seed, Scale: *scale,
 		ObsDir: *obsDir, ObsSamplePeriod: *obsSample,
-		Parallel: *parallel, Runner: rn, Check: *checkInv,
+		Runner: rn, Check: *checkInv,
 		Phases: ptimer,
 	}
 	if *benches != "" {
@@ -242,35 +237,6 @@ func main() {
 		}
 	}
 	opts.CounterfactualK = *cfK
-	if *searchN > 0 {
-		searchBenches := opts.Benchmarks
-		if len(searchBenches) == 0 {
-			searchBenches = workload.Benchmarks()
-		}
-		lb, err := policy.Search(policy.SearchOptions{
-			Seed:         *seed,
-			Population:   *searchN,
-			Benchmarks:   searchBenches,
-			Window:       opts.Window,
-			WorkloadSeed: *seed,
-			Runner:       rn,
-			Progress: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "experiments: search: "+format+"\n", args...)
-			},
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: search: %v\n", err)
-			os.Exit(1)
-		}
-		if err := lb.WriteCSV(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: search: %v\n", err)
-			os.Exit(1)
-		}
-		st := rn.Stats()
-		fmt.Fprintf(os.Stderr, "experiments: search: %d candidates, %d simulator runs, %d cache hits\n",
-			len(lb.Entries), st.Runs, st.CacheHits)
-		return
-	}
 	if *recordTraceDir != "" {
 		n, err := experiments.RecordTraces(opts, *recordTraceDir, 0)
 		if err != nil {
@@ -281,8 +247,7 @@ func main() {
 		return
 	}
 	if *replayTraceDir != "" {
-		opts.ReplayTraceDir = *replayTraceDir
-		opts.TraceCache = experiments.NewTraceCache()
+		opts.Replay = experiments.OpenTraceDir(*replayTraceDir)
 	}
 
 	var failed, partial []string

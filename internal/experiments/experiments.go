@@ -49,14 +49,13 @@ type Options struct {
 	// the sweep with an error naming the offending run. Checked runs are
 	// never cache-elided, so sweeps re-simulate repeated configurations.
 	Check bool
-	// Parallel is the sweep worker-pool width (0 = GOMAXPROCS). Results
-	// are bit-identical at any width: every run is a shared-nothing
-	// simulator instance seeded from (benchmark, Seed) alone.
-	Parallel int
-	// Runner, when non-nil, executes the sweeps; sharing one Runner
-	// across experiments shares its content-addressed run cache, so
-	// configurations repeated between figures simulate once. Nil builds
-	// a private runner with Parallel workers per experiment.
+	// Runner executes the sweeps, and its Workers sets their pool width.
+	// Results are bit-identical at any width: every run is a
+	// shared-nothing simulator instance seeded from (benchmark, Seed)
+	// alone. Sharing one Runner across experiments shares its
+	// content-addressed run cache, so configurations repeated between
+	// figures simulate once. Nil builds a private GOMAXPROCS-wide runner
+	// per sweep.
 	Runner *runner.Runner
 	// Phases, when non-nil, is attached to every simulated run so the
 	// sweep's wall-clock time is attributed to pipeline phases
@@ -68,18 +67,13 @@ type Options struct {
 	// stream instead of a built-in generator. Spec workloads are cached
 	// and checkpointed under the spec's content fingerprint.
 	Specs map[string]*spec.Spec
-	// ReplayTraceDir, when set, replays every workload from a recorded
-	// trace file (see TraceFileName) instead of generating it live —
+	// Replay, when non-nil, replays every workload from its recorded
+	// trace file (see OpenTraceDir) instead of generating it live —
 	// byte-identical to live generation by the trace round-trip
 	// contract. Traces must have been recorded with at least the sweep's
 	// windows plus fetch headroom (RecordTraces does this); cache keys
 	// use the trace's content fingerprint.
-	ReplayTraceDir string
-	// TraceCache, when non-nil, shares loaded traces across the sweep's
-	// requests (one file read and one in-memory copy per workload
-	// instead of one per cell). Optional: without it every replayed run
-	// re-reads its file.
-	TraceCache *TraceCache
+	Replay *TraceDir
 	// PolicySpecs selects the controllers for the "policy" and
 	// "counterfactual" experiments (nil = the paper's controllers). The
 	// first spec is the counterfactual base policy; the rest are the
@@ -245,7 +239,7 @@ func (o Options) sweeper() *runner.Runner {
 	if o.Runner != nil {
 		return o.Runner
 	}
-	return runner.New(o.Parallel)
+	return runner.New(0)
 }
 
 // salvageable reports whether a sweep error still left usable Results: a
@@ -367,7 +361,7 @@ func Registry() map[string]func(Options) ([]*Table, error) {
 		"params": one(func(o Options) (*Table, error) { return Params(), nil }),
 		"table3": one(Table3),
 		"fig3":   one(Fig3),
-		"table4": one(Table4),
+		"table4": Table4,
 		"fig5":   one(Fig5),
 		"fig6":   one(Fig6),
 		"fig7":   one(Fig7),

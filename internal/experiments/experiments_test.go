@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"clustersim/internal/pipeline"
 	"clustersim/internal/runner"
+	"clustersim/internal/stats"
 )
 
 // tinyOpts keeps experiment tests fast: two benchmarks, small windows.
@@ -120,17 +122,55 @@ func TestFig3Tiny(t *testing.T) {
 	}
 }
 
+// TestTable4Tiny: table4's cells are in range, and every table4-curve cell
+// is the instability factor of the benchmark's 10K-interval trace
+// re-aggregated to that length; the curve's 10K and min-interval columns
+// repeat table4's instab@10K% and min-interval.
 func TestTable4Tiny(t *testing.T) {
-	tb, err := Table4(tinyOpts())
+	o := tinyOpts()
+	tables, err := Table4(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range tb.Rows {
+	if len(tables) != 2 || tables[0].ID != "table4" || tables[1].ID != "table4-curve" {
+		t.Fatalf("want table4 and table4-curve, got %d tables", len(tables))
+	}
+	summary, curve := tables[0], tables[1]
+	for _, r := range summary.Rows {
 		if r.Cells[0].Value < 10_000 {
 			t.Errorf("%s: min interval %f below base", r.Name, r.Cells[0].Value)
 		}
 		if r.Cells[2].Value < 0 || r.Cells[2].Value > 100 {
 			t.Errorf("%s: instability %f out of range", r.Name, r.Cells[2].Value)
+		}
+	}
+	mults := []int{1, 2, 4, 8, 16, 32, 64, 128}
+	if len(curve.Columns) != len(mults)+1 || len(curve.Rows) != len(o.Benchmarks) {
+		t.Fatalf("curve shape: columns %v, %d rows", curve.Columns, len(curve.Rows))
+	}
+	th := stats.DefaultThresholds()
+	for bi, b := range o.Benchmarks {
+		rec := stats.NewRecorder(10_000)
+		q := o.request("trace", b, pipeline.DefaultConfig(), rec, 2*o.Window(b))
+		q.NoCache = true
+		if _, err := runner.New(1).RunAll([]runner.Request{q}); err != nil {
+			t.Fatal(err)
+		}
+		trace := rec.Intervals()
+		row := curve.Rows[bi]
+		if row.Name != b {
+			t.Fatalf("row %d is %s, want %s", bi, row.Name, b)
+		}
+		for mi, m := range mults {
+			if got, want := row.Cells[mi].Value, stats.Instability(stats.Aggregate(trace, m), th); got != want {
+				t.Errorf("%s at %dK: curve %v, trace %v", b, 10*m, got, want)
+			}
+		}
+		if got, want := row.Cells[0].Text, summary.Rows[bi].Cells[2].Text; got != want {
+			t.Errorf("%s: curve 10K %s, table4 instab@10K%% %s", b, got, want)
+		}
+		if got, want := row.Cells[len(mults)].Text, summary.Rows[bi].Cells[0].Text; got != want {
+			t.Errorf("%s: curve min-interval %s, table4 %s", b, got, want)
 		}
 	}
 }
@@ -259,7 +299,6 @@ func TestParallelDeterminism(t *testing.T) {
 	serialOpts := tinyOpts()
 	serialOpts.Runner = runner.New(1)
 	parOpts := tinyOpts()
-	parOpts.Parallel = 4
 	parOpts.Runner = runner.New(4)
 	for _, f := range []func(Options) (*Table, error){Fig5, Sensitivity} {
 		ts, err := f(serialOpts)

@@ -111,7 +111,7 @@ func SMT(o Options) (*Table, error) {
 		func() smt.PartitionPolicy { return smt.DistantILPPartition{} },
 	}
 	reports := make([]smt.Report, len(pairs)*len(policies))
-	err := runner.Each(o.Parallel, len(reports), func(i int) error {
+	err := runner.Each(o.sweeper().Workers, len(reports), func(i int) error {
 		pair := pairs[i/len(policies)]
 		pol := policies[i%len(policies)]()
 		threads := []smt.Thread{

@@ -97,9 +97,13 @@ func Fig3(o Options) (*Table, error) {
 	return t, err
 }
 
-// Table4 reproduces the instability-factor analysis: the minimum interval
-// length with <5% instability and the instability at a 10K interval.
-func Table4(o Options) (*Table, error) {
+// Table4 reproduces the instability-factor analysis of §4.1 as two tables.
+// "table4" gives the minimum interval length with <5% instability and the
+// instability at a 10K interval, next to the paper's values. "table4-curve"
+// gives the full curve behind them: the instability factor at 10K×{1,2,4,…,
+// 128} instructions, re-aggregated from the same 10K-interval trace, plus
+// the minimum interval again.
+func Table4(o Options) ([]*Table, error) {
 	t := &Table{
 		ID:      "table4",
 		Title:   "Instability factors vs interval length (paper Table 4)",
@@ -109,6 +113,17 @@ func Table4(o Options) (*Table, error) {
 		},
 	}
 	mults := []int{1, 2, 4, 8, 16, 32, 64, 128}
+	curve := &Table{
+		ID:    "table4-curve",
+		Title: "Instability factor (%) at each interval length (paper §4.1)",
+		Notes: []string{
+			"each column re-aggregates table4's 10K-interval trace; min-interval is the shortest length under 5%",
+		},
+	}
+	for _, m := range mults {
+		curve.Columns = append(curve.Columns, fmt.Sprintf("%dK%%", 10*m))
+	}
+	curve.Columns = append(curve.Columns, "min-interval")
 	benches := o.benchmarks()
 	// The recorder controller is harvested after its run (its interval
 	// trace feeds the instability analysis), so these runs bypass the
@@ -137,6 +152,11 @@ func Table4(o Options) (*Table, error) {
 				Num(pd.MinStableInterval, 0),
 				Num(pd.InstabilityAt10K, 0),
 			}})
+			row := Row{Name: b}
+			for range curve.Columns {
+				row.Cells = append(row.Cells, Str("-"))
+			}
+			curve.Rows = append(curve.Rows, row)
 			continue
 		}
 		trace := recs[i].Intervals()
@@ -150,8 +170,14 @@ func Table4(o Options) (*Table, error) {
 			Num(pd.MinStableInterval, 0),
 			Num(pd.InstabilityAt10K, 0),
 		}})
+		row := Row{Name: b}
+		for _, f := range stats.InstabilityCurve(trace, mults, th) {
+			row.Cells = append(row.Cells, Num(f, 1))
+		}
+		row.Cells = append(row.Cells, Num(float64(minLen), 0))
+		curve.Rows = append(curve.Rows, row)
 	}
-	return t, err
+	return []*Table{t, curve}, err
 }
 
 // schemeSweep submits one request per benchmark×scheme cell (bench-major

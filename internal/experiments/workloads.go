@@ -25,33 +25,36 @@ func TraceFileName(dir, bench string, seed uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("%s-seed%d.trace", bench, seed))
 }
 
-// TraceCache shares loaded traces across a sweep's cells. Replayers over a
-// cached trace share the immutable instruction slice, so an N-cell sweep
-// replaying one workload holds one copy in memory. Safe for concurrent use
-// by the runner's workers.
-type TraceCache struct {
-	mu sync.Mutex
-	m  map[string]*trace.Trace
+// TraceDir is a directory of recorded traces, named by TraceFileName, that a
+// sweep replays instead of generating its workloads live. Each file is read
+// once and the loaded trace shared by every cell that replays it: replayers
+// over one trace share its immutable instruction slice, so an N-cell sweep
+// holds one copy per workload. Safe for concurrent use by the runner's
+// workers.
+type TraceDir struct {
+	dir string
+	mu  sync.Mutex
+	m   map[string]*trace.Trace
 }
 
-// NewTraceCache returns an empty cache.
-func NewTraceCache() *TraceCache { return &TraceCache{m: make(map[string]*trace.Trace)} }
+// OpenTraceDir returns the replay source for the traces under dir. Files are
+// read on first use; a cell whose trace is missing fails with the read error.
+func OpenTraceDir(dir string) *TraceDir {
+	return &TraceDir{dir: dir, m: make(map[string]*trace.Trace)}
+}
 
 // load returns the trace at path, reading the file on first use.
-func (c *TraceCache) load(path string) (*trace.Trace, error) {
-	if c == nil {
-		return trace.ReadFile(path)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t, ok := c.m[path]; ok {
+func (d *TraceDir) load(path string) (*trace.Trace, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if t, ok := d.m[path]; ok {
 		return t, nil
 	}
 	t, err := trace.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	c.m[path] = t
+	d.m[path] = t
 	return t, nil
 }
 
@@ -66,15 +69,15 @@ func (o Options) specFor(bench string) (*spec.Spec, bool) {
 // over a spec binding; with neither, the runner builds the built-in
 // generator itself.
 func (o Options) bindWorkload(req *runner.Request) {
-	if o.ReplayTraceDir != "" {
-		path := TraceFileName(o.ReplayTraceDir, req.Bench, req.Seed)
-		bench, seed, cache := req.Bench, req.Seed, o.TraceCache
+	if o.Replay != nil {
+		path := TraceFileName(o.Replay.dir, req.Bench, req.Seed)
+		bench, seed, traces := req.Bench, req.Seed, o.Replay
 		var wantFP uint64
 		if s, ok := o.specFor(bench); ok {
 			wantFP, _ = s.Fingerprint()
 		}
 		req.Source = func() (workload.Generator, error) {
-			t, err := cache.load(path)
+			t, err := traces.load(path)
 			if err != nil {
 				return nil, err
 			}

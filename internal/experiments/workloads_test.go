@@ -83,8 +83,7 @@ func TestRecordTracesAndReplaySweep(t *testing.T) {
 
 	// Replay arm: same cells, streams served from the recorded files.
 	ro := o
-	ro.ReplayTraceDir = dir
-	ro.TraceCache = NewTraceCache()
+	ro.Replay = OpenTraceDir(dir)
 	replayReqs := build(ro)
 	replayed, err := runner.New(2).RunAll(replayReqs)
 	if err != nil {
@@ -124,7 +123,7 @@ func TestRecordTracesAndReplaySweep(t *testing.T) {
 
 func TestReplayMissingTraceFails(t *testing.T) {
 	o := testOpts(t)
-	o.ReplayTraceDir = t.TempDir() // empty: no recordings
+	o.Replay = OpenTraceDir(t.TempDir()) // empty: no recordings
 	q := o.request("missing", "gzip", pipeline.DefaultConfig(), nil, o.Window("gzip"))
 	if !q.NoCache {
 		t.Fatalf("unreadable trace must leave the request uncacheable")
@@ -148,7 +147,7 @@ func TestReplayRejectsWrongWorkload(t *testing.T) {
 	if err := os.Rename(TraceFileName(dir, "gzip", 1), TraceFileName(dir, "swim", 1)); err != nil {
 		t.Fatal(err)
 	}
-	ro := Options{Seed: 1, Scale: 0.001, Benchmarks: []string{"swim"}, ReplayTraceDir: dir}
+	ro := Options{Seed: 1, Scale: 0.001, Benchmarks: []string{"swim"}, Replay: OpenTraceDir(dir)}
 	q := ro.request("wrong", "swim", pipeline.DefaultConfig(), nil, ro.Window("swim"))
 	_, err := runner.New(1).RunAll([]runner.Request{q})
 	var se *runner.SweepError
@@ -167,26 +166,17 @@ func TestTraceCacheSharesLoads(t *testing.T) {
 	if _, err := RecordTraces(o, dir, 0); err != nil {
 		t.Fatal(err)
 	}
-	c := NewTraceCache()
+	traces := OpenTraceDir(dir)
 	path := TraceFileName(dir, "gzip", 1)
-	t1, err := c.load(path)
+	t1, err := traces.load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := c.load(path)
+	t2, err := traces.load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if t1 != t2 {
-		t.Fatalf("cache returned distinct trace copies for one path")
-	}
-	// A nil cache still works, re-reading per call.
-	var nilCache *TraceCache
-	t3, err := nilCache.load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t3 == t1 {
-		t.Fatalf("nil cache unexpectedly shared the cached instance")
+		t.Fatalf("trace dir returned distinct trace copies for one path")
 	}
 }

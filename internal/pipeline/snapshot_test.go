@@ -45,7 +45,7 @@ func runOK(t *testing.T, p *pipeline.Processor, n uint64) pipeline.Result {
 // TestSnapshotResumeEquivalence: checkpointing mid-run and restoring into a
 // fresh machine must reproduce the uninterrupted run's Result byte for byte,
 // and a second snapshot taken at the same point must be byte-identical
-// (snapshots are deterministic, so retries overwrite idempotently).
+// (snapshots are deterministic, so a resumed run overwrites them idempotently).
 func TestSnapshotResumeEquivalence(t *testing.T) {
 	const window, at = 40_000, 17_000
 	cfg := pipeline.DefaultConfig()

@@ -5,10 +5,12 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"clustersim/internal/pipeline"
+	"clustersim/internal/workload"
 )
 
 // namedController is a stub controller with an arbitrary Name, for key tests.
@@ -91,8 +93,8 @@ func TestPanicIsolation(t *testing.T) {
 	if !strings.Contains(f.Dump, "panicAfterController") {
 		t.Fatalf("dump does not carry the panic stack: %q", f.Dump)
 	}
-	if f.Transient || f.Attempts != 1 {
-		t.Fatalf("panic misclassified: transient=%t attempts=%d", f.Transient, f.Attempts)
+	if f.Transient {
+		t.Fatal("panic marked transient")
 	}
 	if rs[0].Instructions < testWindow || rs[2].Instructions < testWindow {
 		t.Fatal("healthy runs lost their results")
@@ -122,15 +124,24 @@ func TestDeadlockBecomesManifestEntry(t *testing.T) {
 	}
 }
 
-// TestTimeoutRetries: a run that cannot finish inside Timeout fails as
-// transient after Retries+1 attempts.
-func TestTimeoutRetries(t *testing.T) {
+// TestTimeoutIsOneAttempt: a run that cannot finish inside Timeout is built
+// and executed once, fails as transient wrapping the pipeline's
+// StoppedError, and leaves its last snapshot behind for a -resume rerun
+// (TestCheckpointResumeThroughRunner proves the resumed Result identical).
+func TestTimeoutIsOneAttempt(t *testing.T) {
+	dir := t.TempDir()
 	r := New(1)
-	r.Timeout = time.Millisecond
-	r.Retries = 2
-	r.Backoff = time.Microsecond
+	r.Timeout = 300 * time.Millisecond
+	r.CheckpointDir = dir
+	r.CheckpointEvery = 2_000
+	var builds atomic.Int64
 	q := staticReq("gzip", 16)
-	q.Window = 50_000_000 // far beyond a millisecond of simulation
+	q.Window = 50_000_000 // far beyond the timeout's worth of simulation
+	q.Source = func() (workload.Generator, error) {
+		builds.Add(1)
+		return workload.New("gzip", 1)
+	}
+	q.SourceKey = "test:gzip-seed1"
 	_, err := r.RunAll([]Request{q})
 	var se *SweepError
 	if !errors.As(err, &se) || len(se.Failures) != 1 {
@@ -140,12 +151,18 @@ func TestTimeoutRetries(t *testing.T) {
 	if !f.Transient {
 		t.Fatalf("timeout not transient: %+v", f)
 	}
-	if f.Attempts != 3 {
-		t.Fatalf("attempts %d, want 3", f.Attempts)
-	}
 	var stopped *pipeline.StoppedError
 	if !errors.As(f.Err, &stopped) {
 		t.Fatalf("underlying error %T, want *StoppedError", f.Err)
+	}
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("timed-out run built %d times, want 1 (no in-process retry)", n)
+	}
+	if st := r.Stats(); st.Failures != 1 || st.Runs != 0 {
+		t.Fatalf("stats after one timeout: %+v", st)
+	}
+	if _, err := os.Stat(filepath.Join(dir, keyName(q.key())+".snap")); err != nil {
+		t.Fatalf("timed-out run left no snapshot to resume from: %v", err)
 	}
 }
 
@@ -273,5 +290,27 @@ func TestManifestRoundTrip(t *testing.T) {
 	f := m.Failures[0]
 	if f.Bench != "gzip" || f.Message == "" || f.Dump == "" || f.Key == "" {
 		t.Fatalf("manifest entry incomplete: %+v", f)
+	}
+}
+
+// TestReadManifestLegacyAttempts: manifests written while timed-out runs
+// were still retried carry an "attempts" key per failure; they still read.
+func TestReadManifestLegacyAttempts(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "failures.json")
+	legacy := `{"total": 3, "failures": [{"id": "fig5", "bench": "gzip", "policy": "explore",
+		"key": "0123456789abcdef", "message": "run stopped", "transient": true, "attempts": 3}]}`
+	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := ReadManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Total != 3 || len(m.Failures) != 1 {
+		t.Fatalf("manifest: %+v", m)
+	}
+	f := m.Failures[0]
+	if f.ID != "fig5" || f.Bench != "gzip" || f.Key != "0123456789abcdef" || !f.Transient {
+		t.Fatalf("legacy entry misread: %+v", f)
 	}
 }

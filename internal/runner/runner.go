@@ -66,9 +66,9 @@ type Request struct {
 	PolicyKey string
 	// Source, when non-nil, builds the run's workload generator instead
 	// of workload.New(Bench, Seed) — the injection point for spec-
-	// compiled and trace-replayed workloads. It is called once per
-	// execution attempt on the worker (each attempt needs a fresh
-	// stream) and must be safe for concurrent invocation across
+	// compiled and trace-replayed workloads. It is called on the
+	// worker each time the run's processor is built (every build needs
+	// a fresh stream) and must be safe for concurrent invocation across
 	// requests. A sourced request also needs a SourceKey to stay
 	// cacheable.
 	Source func() (workload.Generator, error) //simlint:nokey content identity carried by SourceKey; an unkeyed Source makes the request uncacheable
@@ -181,10 +181,10 @@ type RunError struct {
 	// machine-state dump (deadlocks) or stack trace (panics), if any.
 	Message string `json:"message"`
 	Dump    string `json:"dump,omitempty"`
-	// Transient marks failures worth retrying (wall-clock timeouts);
-	// Attempts is how many executions were made before giving up.
+	// Transient marks a wall-clock timeout: the run was healthy, just
+	// slow, and a rerun with a longer Timeout (resuming from its last
+	// snapshot when checkpointing is on) can finish it.
 	Transient bool `json:"transient,omitempty"`
-	Attempts  int  `json:"attempts"`
 	// Err is the underlying error (nil after a manifest round-trip).
 	Err error `json:"-"`
 }
@@ -210,7 +210,7 @@ type panicError struct {
 func (e *panicError) Error() string { return fmt.Sprintf("run panicked: %v", e.value) }
 
 // describe classifies an execution error for the failure manifest: a one-line
-// message, an optional state/stack dump, and whether retrying could help.
+// message, an optional state/stack dump, and whether a rerun could succeed.
 func describe(err error) (msg, dump string, transient bool) {
 	msg = err.Error()
 	var pe *panicError
@@ -226,8 +226,8 @@ func describe(err error) (msg, dump string, transient bool) {
 			de.FetchSeq, de.FetchBlockedSeq, de.Draining, de.Active)
 	case errors.As(err, &se):
 		// A stop raised by the per-run timeout: the run was healthy, just
-		// slow. With checkpointing on, a retry resumes from the last
-		// snapshot instead of starting over.
+		// slow. With checkpointing on, a resumed rerun continues from the
+		// last snapshot instead of starting over.
 		transient = true
 	}
 	return msg, dump, transient
@@ -259,7 +259,7 @@ type Stats struct {
 	// requests resolved against an identical request in the same batch.
 	CacheHits int
 	Deduped   int
-	// Failures counts runs that exhausted their retries and failed.
+	// Failures counts failed runs.
 	Failures int
 
 	// Inflight and QueueDepth are live gauges: runs currently executing on
@@ -279,16 +279,12 @@ type Runner struct {
 	// DisableCache turns the run cache off (every request executes).
 	DisableCache bool
 
-	// Timeout bounds each run attempt's wall-clock time; zero means no
-	// limit. A timed-out attempt returns a transient RunError.
+	// Timeout bounds each run's wall-clock time; zero means no limit. A
+	// timed-out run fails once, with a transient RunError; it is never
+	// retried in-process. With CheckpointDir set its last snapshot stays
+	// on disk, so a later runner on the same directory (a -resume rerun)
+	// continues it.
 	Timeout time.Duration
-	// Retries is how many extra attempts a transient failure gets (0 =
-	// fail on the first). Permanent failures (panics, deadlocks, invalid
-	// requests) never retry.
-	Retries int
-	// Backoff is the delay before the first retry, doubling per attempt;
-	// zero selects 100ms.
-	Backoff time.Duration
 
 	// CheckpointDir enables crash-safe sweeps. Cacheable requests whose
 	// processor supports snapshotting write a checkpoint every
@@ -303,7 +299,7 @@ type Runner struct {
 	CheckpointEvery uint64
 
 	// Meter, when non-nil, instruments the sweep: per-run lifecycle spans
-	// (queue wait, cache lookup, execute, checkpoint write, retry backoff),
+	// (queue wait, cache lookup, execute, checkpoint write),
 	// live gauges and an optional JSONL progress stream. The instrumentation
 	// is attribution-only — simulated results are byte-identical with or
 	// without it — and a nil Meter costs one pointer test per hook.
@@ -429,32 +425,10 @@ func (r *Runner) RunAll(reqs []Request) ([]pipeline.Result, error) {
 	r.Meter.Enqueued(len(todo))
 	r.queued.Add(int64(len(todo)))
 
-	workers := r.workers()
-	if workers > len(todo) {
-		workers = len(todo)
-	}
-	if workers <= 1 {
-		for _, i := range todo {
-			results[i], errs[i] = r.execute(&reqs[i], keys[i])
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for g := 0; g < workers; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					results[i], errs[i] = r.execute(&reqs[i], keys[i])
-				}
-			}()
-		}
-		for _, i := range todo {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
+	pool(r.workers(), len(todo), func(k int) {
+		i := todo[k]
+		results[i], errs[i] = r.execute(&reqs[i], keys[i])
+	})
 
 	for i := range reqs {
 		if j := dupOf[i]; j >= 0 {
@@ -475,68 +449,35 @@ func (r *Runner) RunAll(reqs []Request) ([]pipeline.Result, error) {
 	return results, nil
 }
 
-// retryDelay returns the backoff before retry number `attempt` (1-based count
-// of attempts already made): Backoff doubled per attempt, base 100ms.
-func (r *Runner) retryDelay(attempt int) time.Duration {
-	base := r.Backoff
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	return base << (attempt - 1)
-}
-
-// execute runs one request on the calling worker: it brackets the attempt
-// loop with the live pool gauges and the meter's run lifecycle (queue-wait
-// and execute spans, run_done progress event), then delegates to
-// executeAttempts.
-func (r *Runner) execute(q *Request, key uint64) (pipeline.Result, *RunError) {
+// execute runs one request on the calling worker, bracketed by the live pool
+// gauges and the meter's run lifecycle (queue-wait and execute spans,
+// run_done progress event). Panics, watchdog deadlocks and timeouts become a
+// structured *RunError carrying the request fingerprint and a machine-state
+// or stack dump, so a single bad run fails its request, not the whole sweep.
+func (r *Runner) execute(q *Request, key uint64) (res pipeline.Result, rerr *RunError) {
 	r.queued.Add(-1)
 	r.inflight.Add(1)
 	start := r.Meter.RunStart()
-	res, rerr := r.executeAttempts(q, key)
-	r.inflight.Add(-1)
-	r.Meter.RunDone(q.ID, q.Bench, q.policy(), start, rerr == nil)
-	return res, rerr
-}
-
-// executeAttempts retries transient failures (timeouts) with exponential
-// backoff up to Retries extra attempts. Panics and watchdog deadlocks become
-// a structured *RunError carrying the request fingerprint and a
-// machine-state or stack dump, so a single bad run fails its request, not
-// the whole sweep.
-func (r *Runner) executeAttempts(q *Request, key uint64) (pipeline.Result, *RunError) {
-	var res pipeline.Result
-	var err error
-	attempts := 0
-	for {
-		attempts++
-		res, err = r.executeOnce(q, key)
-		if err == nil {
-			break
-		}
-		if _, _, transient := describe(err); !transient || attempts > r.Retries {
-			break
-		}
-		boCur := r.Meter.Now()
-		time.Sleep(r.retryDelay(attempts))
-		r.Meter.SpanSince(telemetry.SpanBackoff, boCur)
-	}
+	defer func() {
+		r.inflight.Add(-1)
+		r.Meter.RunDone(q.ID, q.Bench, q.policy(), start, rerr == nil)
+	}()
+	res, err := r.executeOnce(q, key)
 	if err != nil {
 		msg, dump, transient := describe(err)
-		re := &RunError{
+		rerr = &RunError{
 			ID: q.ID, Bench: q.Bench, Policy: q.policy(),
-			Message: msg, Dump: dump, Transient: transient,
-			Attempts: attempts, Err: err,
+			Message: msg, Dump: dump, Transient: transient, Err: err,
 		}
 		if q.cacheable() {
-			re.Key = fmt.Sprintf("%016x", key)
+			rerr.Key = keyName(key)
 		}
 		r.mu.Lock()
 		r.stats.Failures++
 		r.mu.Unlock()
 		// The zero Result, not the partial one: a half-run cell must be
 		// unmistakably a gap, never mistaken for (much worse) real data.
-		return pipeline.Result{}, re
+		return pipeline.Result{}, rerr
 	}
 
 	r.mu.Lock()
@@ -565,10 +506,11 @@ func (r *Runner) executeAttempts(q *Request, key uint64) (pipeline.Result, *RunE
 	return res, nil
 }
 
-// executeOnce makes one attempt at a request: build the workload and
-// processor, arm the wall-clock timeout, resume from a checkpoint if one was
-// left behind, and run — checkpointing every CheckpointEvery commits so the
-// next attempt or process can pick up mid-flight.
+// executeOnce simulates a request: build the workload and processor, arm the
+// wall-clock timeout, resume from a checkpoint if one was left behind, and
+// run — checkpointing every CheckpointEvery commits so a later process can
+// pick up mid-flight. A failed run returns before the snapshot cleanup, so
+// its last snapshot survives for that later process.
 func (r *Runner) executeOnce(q *Request, key uint64) (res pipeline.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -647,35 +589,8 @@ func (r *Runner) executeOnce(q *Request, key uint64) (res pipeline.Result, err e
 // sweeps whose cells are not plain pipeline runs (e.g. the SMT co-schedule
 // studies); fn must be safe for concurrent invocation on distinct indices.
 func Each(workers, n int, fn func(i int) error) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
 	errs := make([]error, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			errs[i] = safeCall(fn, i)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for g := 0; g < workers; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					errs[i] = safeCall(fn, i)
-				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
+	pool(workers, n, func(i int) { errs[i] = safeCall(fn, i) })
 	var msgs []string
 	for i, err := range errs {
 		if err != nil {
@@ -695,4 +610,37 @@ func safeCall(fn func(int) error, i int) (err error) {
 		}
 	}()
 	return fn(i)
+}
+
+// pool calls fn(0..n-1) on up to workers goroutines (<= 0 selects
+// GOMAXPROCS); a width of one runs every call on the calling goroutine.
+func pool(workers, n int, fn func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				fn(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
 }

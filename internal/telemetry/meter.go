@@ -20,15 +20,13 @@ const (
 	SpanExecute
 	// SpanCheckpoint is crash-safety snapshot write time.
 	SpanCheckpoint
-	// SpanBackoff is retry backoff sleep time.
-	SpanBackoff
 	// NumSpans is the span-kind count.
 	NumSpans
 )
 
 // spanNames index the per-span counters, in Span order.
 var spanNames = [NumSpans]string{
-	"queue_wait", "cache_lookup", "execute", "checkpoint", "backoff",
+	"queue_wait", "cache_lookup", "execute", "checkpoint",
 }
 
 // String returns the span's metric name segment.
@@ -210,8 +208,7 @@ func (m *SweepMeter) RunDone(id, bench, policy string, start int64, ok bool) {
 }
 
 // SpanSince charges the time since cursor to span s and returns the new
-// cursor — the runner brackets cache lookups, checkpoint writes and retry
-// backoffs with it.
+// cursor — the runner brackets cache lookups and checkpoint writes with it.
 func (m *SweepMeter) SpanSince(s Span, cursor int64) int64 {
 	if m == nil {
 		return 0

@@ -3,7 +3,7 @@
 // layers, all zero-cost when detached:
 //
 //   - SweepMeter instruments the runner: per-run spans (queue wait, cache
-//     lookup, execute, checkpoint write, retry backoff), live gauges
+//     lookup, execute, checkpoint write), live gauges
 //     (inflight runs, queue depth, worker utilization, cache hit rate)
 //     exported through an internal/obs Registry, and a JSONL progress
 //     stream with completed/total counts and an EWMA-based ETA.
