@@ -12,13 +12,23 @@ var (
 	cmdRef  = regexp.MustCompile(`\bcmd/([a-z][a-z0-9_-]*)`)
 	flagTok = regexp.MustCompile(`^-{1,2}([A-Za-z][A-Za-z0-9_-]*)`)
 	chain   = regexp.MustCompile(`&&|\|\||[|;]`)
+	codeTok = regexp.MustCompile("`([^`\\s]+)`")
+)
+
+// pathPrefixes and pathSuffixes mark a backticked token as a repo path.
+var (
+	pathPrefixes = []string{"internal/", "cmd/", "specs/", "results/", "examples/", "perfbench/", "docs/"}
+	pathSuffixes = []string{".json", ".txt", ".md", ".yml", ".sh"}
 )
 
 // TestDocsNameLiveCommands keeps the prose docs honest about the command
 // line: every cmd/<name> they mention must be a directory under cmd/, and
 // every -flag on a command line in a fenced block (`go run ./cmd/<name> …`
 // or `<name> …`) must be declared in that command's main.go. A removed
-// command or flag fails here until the docs stop naming it.
+// command or flag fails here until the docs stop naming it. Likewise every
+// backticked path (a token under a source directory, or a data or doc
+// file name) must exist, relative to the root or to docs/; tokens with a
+// <placeholder> name paths made at run time and are not checked.
 func TestDocsNameLiveCommands(t *testing.T) {
 	docs, err := filepath.Glob("docs/*.md")
 	if err != nil {
@@ -48,6 +58,11 @@ func TestDocsNameLiveCommands(t *testing.T) {
 					t.Errorf("%s:%d names cmd/%s, which does not exist", doc, i+1, m[1])
 				}
 			}
+			for _, m := range codeTok.FindAllStringSubmatch(line, -1) {
+				if isRepoPath(m[1]) && !pathExists(m[1]) {
+					t.Errorf("%s:%d names %s, which does not exist", doc, i+1, m[1])
+				}
+			}
 		}
 		isCmd := func(name string) bool { _, ok := mains[name]; return ok }
 		for _, cl := range fencedCommandLines(lines, isCmd) {
@@ -62,6 +77,35 @@ func TestDocsNameLiveCommands(t *testing.T) {
 			}
 		}
 	}
+}
+
+// isRepoPath reports whether a backticked token names a repo path.
+func isRepoPath(tok string) bool {
+	if strings.Contains(tok, "<") {
+		return false
+	}
+	for _, p := range pathPrefixes {
+		if strings.HasPrefix(tok, p) {
+			return true
+		}
+	}
+	for _, s := range pathSuffixes {
+		if strings.HasSuffix(tok, s) {
+			return true
+		}
+	}
+	return false
+}
+
+// pathExists reports whether a path or glob matches a file relative to the
+// root or to docs/.
+func pathExists(path string) bool {
+	for _, p := range []string{path, filepath.Join("docs", path)} {
+		if m, _ := filepath.Glob(p); len(m) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // commandLine is one invocation of a repo command found in a fenced block.

@@ -1,7 +1,10 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -127,5 +130,38 @@ func TestLoaderSharesTestPackageIdentity(t *testing.T) {
 		if test.reportFiles[f] {
 			t.Errorf("file %s reportable from both units", f)
 		}
+	}
+}
+
+// TestSplitSourcesHonorsBuildConstraints: a file excluded by its build
+// constraint is not loaded, so a constant declared once per build variant
+// (as with //go:build race and !race) is not a redeclaration.
+func TestSplitSourcesHonorsBuildConstraints(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"p.go":          "package p\n",
+		"on_test.go":    "//go:build sometag\n\npackage p\n\nconst budget = 8\n",
+		"off_test.go":   "//go:build !sometag\n\npackage p\n\nconst budget = 0\n",
+		"p_ext_test.go": "package p_test\n",
+		"ignored.go":    "//go:build ignore\n\npackage p\n",
+	}
+	for name, src := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	goFiles, testFiles, xtestFiles, err := splitSources(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := func(fs []string) (out []string) {
+		for _, f := range fs {
+			out = append(out, filepath.Base(f))
+		}
+		return out
+	}
+	got := fmt.Sprint(base(goFiles), base(testFiles), base(xtestFiles))
+	if want := "[p.go] [off_test.go] [p_ext_test.go]"; got != want {
+		t.Errorf("split = %s, want %s", got, want)
 	}
 }

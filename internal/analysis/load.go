@@ -260,7 +260,9 @@ func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 
 // splitSources classifies a directory's files. goFiles are production
 // sources, testFiles are same-package _test.go files, xtestFiles belong to
-// the external <pkg>_test package.
+// the external <pkg>_test package. Files excluded by build constraints
+// under the default build context (e.g. //go:build race) are skipped, as
+// go build would.
 func splitSources(dir string) (goFiles, testFiles, xtestFiles []string, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -269,6 +271,11 @@ func splitSources(dir string) (goFiles, testFiles, xtestFiles []string, err erro
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			continue
+		}
+		if ok, merr := build.Default.MatchFile(dir, name); merr != nil {
+			return nil, nil, nil, merr
+		} else if !ok {
 			continue
 		}
 		full := filepath.Join(dir, name)

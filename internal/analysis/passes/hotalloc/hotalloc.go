@@ -1,7 +1,7 @@
 // Package hotalloc guards the event-driven cycle loop's allocation budget
 // at compile time. PR 7's scheduler holds the simulator's steady state to
-// ≤8 allocations per 10K-instruction window — the property the alloc-budget
-// tests and the CI benchdiff gate measure after the fact. This pass is the
+// one or two allocations per 10K-instruction window — the property
+// TestSteadyStateAllocBudget measures after the fact. This pass is the
 // before-the-fact half: inside functions reachable from an annotated hot
 // root, the expression shapes that reintroduce per-cycle heap traffic are
 // findings, so the budget cannot erode one innocent-looking line at a time

@@ -71,7 +71,7 @@ type Options struct {
 	// trace file (see OpenTraceDir) instead of generating it live —
 	// byte-identical to live generation by the trace round-trip
 	// contract. Traces must have been recorded with at least the sweep's
-	// windows plus fetch headroom (RecordTraces does this); cache keys
+	// longest window plus fetch headroom (RecordTraces does this); cache keys
 	// use the trace's content fingerprint.
 	Replay *TraceDir
 	// PolicySpecs selects the controllers for the "policy" and
@@ -121,8 +121,6 @@ func (o Options) benchmarks() []string {
 	return names
 }
 
-// window returns the simulation window for a benchmark: long enough to
-// cover its full phase cycle several times.
 // Window returns the calibrated simulation window for a benchmark (long
 // enough to cover its full phase cycle), scaled by Scale.
 func (o Options) Window(bench string) uint64 {
@@ -147,6 +145,11 @@ func (o Options) Window(bench string) uint64 {
 	}
 	return w
 }
+
+// longestWindow is the longest run any driver makes on a benchmark:
+// table4 records its interval trace over two windows. RecordTraces records
+// this much, so one recording serves every driver's replay.
+func (o Options) longestWindow(bench string) uint64 { return 2 * o.Window(bench) }
 
 // Cell is one table entry.
 type Cell struct {

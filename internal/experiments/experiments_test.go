@@ -151,7 +151,7 @@ func TestTable4Tiny(t *testing.T) {
 	th := stats.DefaultThresholds()
 	for bi, b := range o.Benchmarks {
 		rec := stats.NewRecorder(10_000)
-		q := o.request("trace", b, pipeline.DefaultConfig(), rec, 2*o.Window(b))
+		q := o.request("trace", b, pipeline.DefaultConfig(), rec, o.longestWindow(b))
 		q.NoCache = true
 		if _, err := runner.New(1).RunAll([]runner.Request{q}); err != nil {
 			t.Fatal(err)

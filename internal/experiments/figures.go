@@ -132,7 +132,7 @@ func Table4(o Options) ([]*Table, error) {
 	reqs := make([]runner.Request, len(benches))
 	for i, b := range benches {
 		recs[i] = stats.NewRecorder(10_000)
-		req := o.request("table4", b, pipeline.DefaultConfig(), recs[i], 2*o.Window(b))
+		req := o.request("table4", b, pipeline.DefaultConfig(), recs[i], o.longestWindow(b))
 		req.NoCache = true
 		reqs[i] = req
 	}

@@ -121,6 +121,35 @@ func TestRecordTracesAndReplaySweep(t *testing.T) {
 	}
 }
 
+// TestRecordTracesServeTable4 records at one scale and replays table4, the
+// driver with the longest window, at the same scale: every run must replay
+// and the tables must print exactly as the live run's.
+func TestRecordTracesServeTable4(t *testing.T) {
+	dir := t.TempDir()
+	o := Options{Seed: 1, Scale: 0.001, Benchmarks: []string{"gzip", "swim"}}
+	if _, err := RecordTraces(o, dir, 0); err != nil {
+		t.Fatalf("RecordTraces: %v", err)
+	}
+	live, err := Table4(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro := o
+	ro.Replay = OpenTraceDir(dir)
+	replayed, err := Table4(ro)
+	if err != nil {
+		t.Fatalf("replayed table4: %v", err)
+	}
+	if len(replayed) != len(live) {
+		t.Fatalf("replay printed %d tables, live %d", len(replayed), len(live))
+	}
+	for i := range live {
+		if got, want := replayed[i].Format(), live[i].Format(); got != want {
+			t.Errorf("replayed %s differs from live:\n%s\nwant:\n%s", live[i].ID, got, want)
+		}
+	}
+}
+
 func TestReplayMissingTraceFails(t *testing.T) {
 	o := testOpts(t)
 	o.Replay = OpenTraceDir(t.TempDir()) // empty: no recordings

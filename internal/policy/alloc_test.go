@@ -29,26 +29,3 @@ func TestRecorderDisabledAllocFree(t *testing.T) {
 		t.Fatalf("disabled recorder allocates %v per commit, want 0", avg)
 	}
 }
-
-// BenchmarkRecorderDisabled feeds commits through a nil-trace Recorder; the
-// CI benchdiff gate watches its allocs/op (must stay 0).
-func BenchmarkRecorderDisabled(b *testing.B) {
-	spec, err := Paper("distant-ilp")
-	if err != nil {
-		b.Fatal(err)
-	}
-	inner, err := spec.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	rec := NewRecorder(inner, nil)
-	rec.Reset(16)
-	ev := pipeline.CommitEvent{Cycle: 1, Seq: 1, PC: 0x1000}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev.Cycle += 2
-		ev.Seq++
-		rec.OnCommit(ev)
-	}
-}
