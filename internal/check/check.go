@@ -266,6 +266,11 @@ func (k *Invariants) CheckCycle(v *pipeline.MachineView) {
 		k.fail(v.Cycle, "mem-conservation", "%v", err)
 	}
 	k.prevMem = v.MemStats
+
+	// The steering view must match the counters it is derived from.
+	if f := v.SteerFault; f.What != "" {
+		k.fail(v.Cycle, "steer-view", "%s %d: view %#x, counters give %#x", f.What, f.Index, f.Got, f.Want)
+	}
 }
 
 var _ pipeline.Checker = (*Invariants)(nil)

@@ -57,10 +57,18 @@ type MachineView struct {
 	MemStats mem.Stats
 	NetStats interconnect.Stats
 
+	// SteerFault is the zero value when the steering view (steer.go: the
+	// per-resource full masks, the occupancy array, the level sets and the
+	// lo/hi bounds) agrees with a recomputation from the counters above,
+	// and describes the first disagreement otherwise.
+	SteerFault SteerFault
+
 	// Config is the machine configuration; NetDiameter the interconnect's
 	// worst-case routed hop count (both fixed for the run).
 	Config      *Config
 	NetDiameter int
+
+	steerRef steerView // recomputation scratch, allocated once
 }
 
 // initCheck wires the checker into the processor, pre-sizing the view's
@@ -80,6 +88,7 @@ func (p *Processor) initCheck(chk Checker) {
 		Stats:       &p.stats,
 		Config:      &p.cfg,
 		NetDiameter: p.net.Diameter(),
+		steerRef:    steerView{levels: make([]uint32, len(p.sv.levels))},
 	}
 }
 
@@ -106,5 +115,55 @@ func (p *Processor) checkCycle() {
 	}
 	v.MemStats = p.memsys.Stats()
 	v.NetStats = p.net.Stats()
+	v.SteerFault = p.steerFault(&v.steerRef)
 	p.chk.CheckCycle(v)
+}
+
+// SteerFault describes the first disagreement between the steering view
+// and its recomputation from the counters; What is empty when they agree.
+type SteerFault struct {
+	What  string // the part of the view that disagrees
+	Index int    // the queue, cluster or level concerned
+	Got   uint64 // the view's value
+	Want  uint64 // the recomputed value, or the violated bound
+}
+
+// steerFault recomputes the steering view from the counters into ref and
+// compares the incremental one against it. The bounds only need to
+// enclose every active cluster's occupancy, so they are checked as bounds.
+func (p *Processor) steerFault(ref *steerView) SteerFault {
+	sv := &p.sv
+	ref.computeFrom(p)
+	for k := range sv.iqFull {
+		if sv.iqFull[k] != ref.iqFull[k] {
+			return SteerFault{"issue-queue full mask", k, uint64(sv.iqFull[k]), uint64(ref.iqFull[k])}
+		}
+		if sv.regFull[k] != ref.regFull[k] {
+			return SteerFault{"register full mask", k, uint64(sv.regFull[k]), uint64(ref.regFull[k])}
+		}
+	}
+	if sv.lsqFull != ref.lsqFull {
+		return SteerFault{"LSQ full mask", 0, uint64(sv.lsqFull), uint64(ref.lsqFull)}
+	}
+	for c := range p.clusters {
+		if sv.occ[c] != ref.occ[c] {
+			return SteerFault{"occupancy of cluster", c, uint64(sv.occ[c]), uint64(ref.occ[c])}
+		}
+	}
+	for o := range ref.levels {
+		if sv.levels[o] != ref.levels[o] {
+			return SteerFault{"clusters at level", o, uint64(sv.levels[o]), uint64(ref.levels[o])}
+		}
+	}
+	if sv.lo < 0 || sv.hi >= len(sv.levels) || sv.lo > sv.hi {
+		return SteerFault{"bounds outside the levels", len(sv.levels), uint64(sv.lo), uint64(sv.hi)}
+	}
+	for c := 0; c < p.active; c++ {
+		if occ := sv.occ[c]; occ < sv.lo {
+			return SteerFault{"occupancy below the lo bound, cluster", c, uint64(occ), uint64(sv.lo)}
+		} else if occ > sv.hi {
+			return SteerFault{"occupancy above the hi bound, cluster", c, uint64(occ), uint64(sv.hi)}
+		}
+	}
+	return SteerFault{}
 }

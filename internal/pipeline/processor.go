@@ -28,10 +28,11 @@ type Processor struct {
 	committed uint64
 
 	rob      []uop
-	robMask  uint64 // len(rob)-1; rob is sized to a power of two
-	headSeq  uint64 // oldest in-flight seq
-	tailSeq  uint64 // next seq to dispatch
-	fetchSeq uint64 // next seq to fetch
+	cold     []uopCold // the entries' cold halves, indexed like rob
+	robMask  uint64    // len(rob)-1; rob is sized to a power of two
+	headSeq  uint64    // oldest in-flight seq
+	tailSeq  uint64    // next seq to dispatch
+	fetchSeq uint64    // next seq to fetch
 
 	fq     []fqEntry
 	fqHead int
@@ -42,8 +43,11 @@ type Processor struct {
 	clusters []clusterState
 	active   int
 	lsqTotal int // centralized LSQ occupancy
-	lsqFull  int // active clusters at LSQ capacity (decentralized dummy gate)
 	iqOcc    int // total issue-queue occupancy across all clusters
+
+	// sv is the steering view derived from the occupancy counters (see
+	// steer.go); rebuilt from them on checkpoint load, never serialized.
+	sv steerView
 
 	// sched is the event stepper's wheel/chain state (see sched.go);
 	// rebuilt from the ROB on checkpoint load, never serialized.
@@ -65,8 +69,18 @@ type Processor struct {
 
 	stores        []uint64 // seqs of in-flight stores, ascending
 	storesHead    int
-	pendingLoads  []uint64
+	pendingLoads  []uint64 // issued loads not yet started, in issue order
 	dummyReleases []dummyRelease
+
+	// Load-ordering state (see lsq.go), rebuilt from the store window on
+	// checkpoint load, never serialized. stIdx is the store index;
+	// storeOrd0 is the ordinal of stores[0] (store ordinals count
+	// dispatched stores); storeFront is the resolved-everywhere frontier;
+	// ldNextWake lower-bounds the pending loads' next attempt cycles.
+	stIdx      []uint64
+	storeOrd0  uint64
+	storeFront uint64
+	ldNextWake uint64
 
 	modNCluster, modNCount int
 
@@ -174,6 +188,7 @@ func New(cfg Config, gen workload.Generator, ctrl Controller) (*Processor, error
 		robLen <<= 1
 	}
 	p.rob = make([]uop, robLen)
+	p.cold = make([]uopCold, robLen)
 	p.robMask = uint64(robLen - 1)
 	// The fetch queue is a power-of-two ring for the same reason; its
 	// logical capacity stays cfg.FetchQueue.
@@ -202,11 +217,18 @@ func New(cfg Config, gen workload.Generator, ctrl Controller) (*Processor, error
 	p.stores = make([]uint64, 0, 4096+cfg.ROB)
 	p.pendingLoads = make([]uint64, 0, cfg.ROB)
 	p.dummyReleases = make([]dummyRelease, 0, cfg.Clusters*cfg.LSQPerCluster)
+	idxLen := 1
+	for idxLen < 2*cfg.ROB {
+		idxLen <<= 1
+	}
+	p.stIdx = make([]uint64, idxLen)
 	p.clusters = make([]clusterState, cfg.Clusters)
 	for i := range p.clusters {
 		p.clusters[i] = newClusterState(&cfg)
 	}
 	p.active = cfg.ActiveClusters
+	p.sv.levels = make([]uint32, 2*cfg.IQPerCluster+1)
+	p.sv.computeFrom(p)
 	p.fetchBlockedSeq = unknown
 	if cfg.CritTable {
 		p.crit = newCritPredictor()
@@ -255,6 +277,9 @@ func (p *Processor) Committed() uint64 { return p.committed }
 
 // at returns the ROB entry for an in-flight seq.
 func (p *Processor) at(seq uint64) *uop { return &p.rob[seq&p.robMask] }
+
+// coldAt returns the cold half of the ROB entry for an in-flight seq.
+func (p *Processor) coldAt(seq uint64) *uopCold { return &p.cold[seq&p.robMask] }
 
 // stopCheckMask throttles the external-stop-flag poll to one atomic load
 // every 1024 cycles, keeping it invisible in the hot loop.
@@ -449,7 +474,7 @@ func (p *Processor) commitStage() {
 			if p.opArrival(u, u.in.SrcDist2, &u.src2At) > now {
 				return
 			}
-			if p.cfg.Cache == DecentralizedCache && u.resolveGlobalAt > now {
+			if p.cfg.Cache == DecentralizedCache && p.coldAt(u.seq).resolveGlobalAt > now {
 				return
 			}
 		default:
@@ -459,17 +484,12 @@ func (p *Processor) commitStage() {
 		}
 
 		// Retire.
-		cs := &p.clusters[u.cluster]
 		if u.in.HasDest {
-			if u.in.Class.IsFP() {
-				cs.fpRegs--
-			} else {
-				cs.intRegs--
-			}
+			p.regDelta(int(u.cluster), u.in.Class, -1)
 		}
 		if u.in.Class.IsMem() {
 			if p.cfg.Cache == CentralizedCache {
-				p.lsqTotal--
+				p.lsqTotalDelta(-1)
 			} else {
 				p.lsqDelta(int(u.cluster), -1)
 			}
@@ -520,6 +540,7 @@ func (p *Processor) popStore(seq uint64) {
 	if p.storesHead < len(p.stores) && p.stores[p.storesHead] == seq {
 		p.storesHead++
 		if p.storesHead > 4096 {
+			p.storeOrd0 += uint64(p.storesHead)
 			p.stores = append(p.stores[:0], p.stores[p.storesHead:]...) //simlint:alloc compaction copies into the slice's own capacity; the window is bounded by the store queue
 			p.storesHead = 0
 		}
@@ -544,7 +565,7 @@ func (p *Processor) requestActive(want int) {
 		if want != p.active {
 			old := p.active
 			p.active = want
-			p.recountLSQFull()
+			p.sv.resetBounds()
 			p.progress = true
 			p.stats.Reconfigs++
 			if p.obs != nil {
@@ -572,7 +593,7 @@ func (p *Processor) reconfigStage() {
 	old := p.active
 	p.memsys.SetActive(p.pendingActive)
 	p.active = p.pendingActive
-	p.recountLSQFull()
+	p.sv.resetBounds()
 	p.resumeAt = done
 	p.draining = false
 	p.progress = true
@@ -611,13 +632,14 @@ func (p *Processor) opArrival(u *uop, dist uint32, cache *uint64) uint64 {
 	t := prod.doneAt
 	c := int(u.cluster)
 	if c != int(prod.cluster) && !p.cfg.FreeRegComm {
-		if prod.fwd[c] == 0 {
+		fwd := &p.coldAt(pseq).fwd
+		if fwd[c] == 0 {
 			arr := p.net.Send(t, int(prod.cluster), c)
-			prod.fwd[c] = arr
+			fwd[c] = arr
 			p.stats.RegTransfers++
 			p.stats.RegLatencySum += arr - t
 		}
-		t = prod.fwd[c]
+		t = fwd[c]
 	}
 	*cache = t
 	return t
@@ -712,12 +734,7 @@ func (p *Processor) tryIssueV(cs *clusterState, u *uop, now uint64) (v issueVerd
 		return vWake, next, 0
 	}
 
-	if cls.IsFP() {
-		cs.nFP--
-	} else {
-		cs.nInt--
-	}
-	p.iqOcc--
+	p.iqDelta(int(u.cluster), cls, -1)
 	p.progress = true
 	u.issued = true
 	u.issueAt = now
@@ -730,11 +747,12 @@ func (p *Processor) tryIssueV(cs *clusterState, u *uop, now uint64) (v issueVerd
 	switch {
 	case u.isLoad():
 		u.agenDoneAt = now + lat
-		p.pendingLoads = append(p.pendingLoads, u.seq) //simlint:alloc amortized: pendingLoads reaches LSQ-bounded capacity once, then is reused
+		p.queueLoad(u)
 	case u.isStore():
 		u.agenDoneAt = now + lat
 		u.doneAt = u.agenDoneAt
 		p.storeResolved(u)
+		p.wakeStoreWaiters(u)
 	default:
 		u.doneAt = now + lat
 		if u.in.Class.IsCtrl() && u.seq == p.fetchBlockedSeq {
@@ -754,18 +772,19 @@ func (p *Processor) tryIssueV(cs *clusterState, u *uop, now uint64) (v issueVerd
 // decentralized LSQ the address is broadcast to dissolve the dummy slots in
 // the other active clusters (§5).
 func (p *Processor) storeResolved(u *uop) {
+	uc := p.coldAt(u.seq)
 	if p.cfg.Cache == CentralizedCache {
-		u.resolveGlobalAt = u.agenDoneAt
+		uc.resolveGlobalAt = u.agenDoneAt
 		return
 	}
-	active := int(u.activeAtDispatch)
-	u.resolveGlobalAt = p.net.Broadcast(u.agenDoneAt, int(u.cluster), active)
+	active := int(uc.activeAtDispatch)
+	uc.resolveGlobalAt = p.net.Broadcast(u.agenDoneAt, int(u.cluster), active)
 	p.stats.StoreBroadcasts++
 	for c := 0; c < active; c++ {
 		if c == int(u.cluster) {
 			continue
 		}
-		p.dummyReleases = append(p.dummyReleases, dummyRelease{at: u.resolveGlobalAt, cluster: int32(c)}) //simlint:alloc amortized: dummyReleases reaches cluster-bounded capacity once, then is reused
+		p.dummyReleases = append(p.dummyReleases, dummyRelease{at: uc.resolveGlobalAt, cluster: int32(c)}) //simlint:alloc amortized: dummyReleases reaches cluster-bounded capacity once, then is reused
 	}
 }
 
@@ -775,10 +794,11 @@ func (p *Processor) trainBank(u *uop) {
 	if p.bankp == nil {
 		return
 	}
+	uc := p.coldAt(u.seq)
 	actual := p.memsys.Bank(u.in.Addr)
-	p.bankp.Update(u.in.PC, actual, int(u.activeAtDispatch))
+	p.bankp.Update(u.in.PC, actual, int(uc.activeAtDispatch))
 	if !p.cfg.PerfectBankPred {
-		if p.memsys.HomeCluster(u.in.Addr) != int(u.predictedHome) {
+		if p.memsys.HomeCluster(u.in.Addr) != int(uc.predictedHome) {
 			u.bankMispred = true
 			p.stats.BankMispredicts++
 		}
@@ -802,94 +822,7 @@ func (p *Processor) memStage() {
 		}
 		p.dummyReleases = kept
 	}
-	// Try to start memory access for loads whose address is known.
-	if len(p.pendingLoads) > 0 {
-		kept := p.pendingLoads[:0]
-		for _, seq := range p.pendingLoads {
-			u := p.at(seq)
-			if u.agenDoneAt > now || !p.tryStartLoad(u, now) {
-				kept = append(kept, seq) //simlint:alloc in-place filter over pendingLoads[:0]; same backing array
-			} else {
-				// The load's arrival is now computable: wake chained
-				// consumers for the next cycle, when the legacy scan
-				// would first see memDone (issue precedes mem).
-				p.progress = true
-				p.wakeChain(u, 0, nil, 0)
-			}
-		}
-		p.pendingLoads = kept
-	}
-}
-
-// tryStartLoad checks memory ordering for a load and, when clear, either
-// forwards from an older matching store or accesses the cache. It returns
-// whether the load's completion is now scheduled.
-func (p *Processor) tryStartLoad(u *uop, now uint64) bool {
-	// Fast path: if a previous walk blocked on a specific store, nothing
-	// can have changed until that store resolves.
-	if u.waitStore != 0 {
-		wseq := u.waitStore - 1
-		if wseq >= p.headSeq {
-			s := p.at(wseq)
-			if s.isStore() && s.seq == wseq {
-				resolveAt := s.agenDoneAt
-				if p.cfg.Cache == DecentralizedCache && s.cluster != u.cluster {
-					resolveAt = s.resolveGlobalAt
-				}
-				if !s.issued || resolveAt > now {
-					return false
-				}
-			}
-		}
-		u.waitStore = 0
-	}
-	// Walk older in-flight stores youngest-first. An unresolved older
-	// store (or, decentralized, an undissolved dummy) blocks the load;
-	// a resolved matching store forwards.
-	for i := len(p.stores) - 1; i >= p.storesHead; i-- {
-		sseq := p.stores[i]
-		if sseq >= u.seq {
-			continue
-		}
-		s := p.at(sseq)
-		resolveAt := s.agenDoneAt
-		if p.cfg.Cache == DecentralizedCache && s.cluster != u.cluster {
-			resolveAt = s.resolveGlobalAt
-		}
-		if !s.issued || resolveAt > now {
-			u.waitStore = sseq + 1
-			return false
-		}
-		if s.in.Addr>>3 == u.in.Addr>>3 {
-			// Store-to-load forwarding: data moves from the
-			// store's LSQ to the load's cluster.
-			dataAt := p.opArrival(s, s.in.SrcDist2, &s.src2At)
-			if dataAt == unknown || dataAt > now {
-				return false
-			}
-			t := now + 1
-			if s.cluster != u.cluster && !p.cfg.FreeRegComm {
-				t = p.net.Send(t, int(s.cluster), int(u.cluster))
-			}
-			u.doneAt = t
-			u.memDone = true
-			u.memStarted = true
-			p.stats.LoadForwards++
-			return true
-		}
-	}
-	start := now
-	if u.agenDoneAt > start {
-		start = u.agenDoneAt
-	}
-	if p.dtlb != nil {
-		start += p.dtlb.Translate(u.in.Addr)
-	}
-	done, _ := p.memsys.Load(start, int(u.cluster), u.in.Addr)
-	u.doneAt = done
-	u.memDone = true
-	u.memStarted = true
-	return true
+	p.startLoads(now)
 }
 
 // -------------------------------------------------------------- dispatch --
@@ -909,8 +842,7 @@ func (p *Processor) dispatchStage() {
 		}
 		in := &e.in
 		// Decentralized stores need a dummy slot in every active LSQ;
-		// lsqFull counts active clusters at capacity.
-		if in.Class == isa.Store && p.cfg.Cache == DecentralizedCache && p.lsqFull > 0 {
+		if in.Class == isa.Store && p.cfg.Cache == DecentralizedCache && p.sv.lsqFull&p.activeMask() != 0 {
 			return
 		}
 		cl := p.steer(in, e.seq)
@@ -931,15 +863,17 @@ func (p *Processor) dispatchStage() {
 		if d := uint64(in.SrcDist2); d == 0 || d > e.seq || e.seq-d < p.headSeq {
 			src2At = 0
 		}
-		*u = uop{
-			in:               *in,
-			seq:              e.seq,
-			cluster:          int32(cl),
-			mispredicted:     e.mispred,
-			activeAtDispatch: int32(p.active),
-			src1At:           src1At,
-			src2At:           src2At,
-		}
+		// Clear, then fill: a composite-literal assignment would build
+		// the entry in a temporary and copy it over.
+		*u = uop{}
+		u.in = *in
+		u.seq = e.seq
+		u.cluster = int32(cl)
+		u.mispredicted = e.mispred
+		u.src1At, u.src2At = src1At, src2At
+		uc := p.coldAt(e.seq)
+		*uc = uopCold{}
+		uc.activeAtDispatch = int32(p.active)
 		hops := uint64(p.net.Hops(0, cl)) * uint64(p.cfg.HopLatency)
 		u.dispatchReady = now + 1 + hops
 
@@ -954,22 +888,13 @@ func (p *Processor) dispatchStage() {
 			u.key = p.keyOf(u)
 			p.parkU(u.key, u.dispatchReady)
 		}
-		if in.Class.IsFP() {
-			cs.nFP++
-		} else {
-			cs.nInt++
-		}
-		p.iqOcc++
+		p.iqDelta(cl, in.Class, 1)
 		if in.HasDest {
-			if in.Class.IsFP() {
-				cs.fpRegs++
-			} else {
-				cs.intRegs++
-			}
+			p.regDelta(cl, in.Class, 1)
 		}
 		if in.Class.IsMem() {
 			if p.cfg.Cache == CentralizedCache {
-				p.lsqTotal++
+				p.lsqTotalDelta(1)
 			} else if in.Class == isa.Store {
 				for c := 0; c < p.active; c++ {
 					p.lsqDelta(c, 1)
@@ -979,9 +904,13 @@ func (p *Processor) dispatchStage() {
 			}
 			if in.Class == isa.Store {
 				p.stores = append(p.stores, e.seq) //simlint:alloc amortized: the store window grows to its 4096-entry compaction bound once
+				p.indexStore(e.seq, in.Addr)
+			} else {
+				uc.fwdFrom = p.olderMatch(e.seq, in.Addr)
+				uc.clearOrd = p.nextStoreOrd()
 			}
 			if p.cfg.Cache == DecentralizedCache {
-				u.predictedHome = int32(p.predictHome(in))
+				uc.predictedHome = int32(p.predictHome(in))
 			}
 		}
 

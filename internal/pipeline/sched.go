@@ -294,8 +294,8 @@ func (p *Processor) nextEventCycle(now uint64) uint64 {
 					min(u.src2At)
 					ready = false
 				}
-				if p.cfg.Cache == DecentralizedCache && u.resolveGlobalAt > now {
-					min(u.resolveGlobalAt)
+				if rg := p.coldAt(u.seq).resolveGlobalAt; p.cfg.Cache == DecentralizedCache && rg > now {
+					min(rg)
 					ready = false
 				}
 				if ready {
@@ -317,39 +317,13 @@ func (p *Processor) nextEventCycle(now uint64) uint64 {
 		}
 		min(p.dummyReleases[i].at)
 	}
-	for _, seq := range p.pendingLoads {
-		u := p.at(seq)
-		if u.agenDoneAt > now {
-			min(u.agenDoneAt)
-			continue
-		}
-		if u.waitStore != 0 {
-			wseq := u.waitStore - 1
-			if wseq >= p.headSeq {
-				s := p.at(wseq)
-				if s.isStore() && s.seq == wseq {
-					if !s.issued {
-						continue // the store's issue sets progress
-					}
-					resolveAt := s.agenDoneAt
-					if p.cfg.Cache == DecentralizedCache && s.cluster != u.cluster {
-						resolveAt = s.resolveGlobalAt
-					}
-					if resolveAt <= now {
-						return now + 1
-					}
-					min(resolveAt)
-					continue
-				}
-			}
-			// Stale blocker (unreachable after this cycle's memStage
-			// ran, kept as a conservative guard).
+	if len(p.pendingLoads) > 0 {
+		// A load parked on an unissued store has ldWake unknown: the
+		// store's issue sets progress and its resolve cycle.
+		if p.ldNextWake <= now {
 			return now + 1
 		}
-		// Address known, no recorded blocker: the ordering walk stopped
-		// on a forwarding match whose data is not ready. The data cycle
-		// is not recorded on the load, so give up on jumping.
-		return now + 1
+		min(p.ldNextWake)
 	}
 
 	// Dispatch: the head fetch-queue entry's front-end latency and the
@@ -398,9 +372,9 @@ func (p *Processor) nextEventCycle(now uint64) uint64 {
 }
 
 // rebuildSched reconstructs the event engine's state after LoadCheckpoint:
-// issue-queue occupancy counters from the serialized queues, the LSQ-full
-// count, and — in event mode — one wakeup per in-flight unissued
-// instruction at the cycle after the snapshot. Early re-evaluation is pure
+// issue-queue occupancy counters from the serialized queues, the steering
+// view from the counters, and — in event mode — one wakeup per in-flight
+// unissued instruction at the cycle after the snapshot. Early re-evaluation is pure
 // (the readyAt guard and operand caches make premature probes no-ops), so
 // every instruction re-parks or re-chains onto its original schedule.
 func (p *Processor) rebuildSched() {
@@ -411,7 +385,7 @@ func (p *Processor) rebuildSched() {
 		cs.nFP = len(cs.iqFP)
 		p.iqOcc += cs.nInt + cs.nFP
 	}
-	p.recountLSQFull()
+	p.sv.computeFrom(p)
 	if p.cfg.LegacyStepper {
 		return
 	}
@@ -430,39 +404,6 @@ func (p *Processor) rebuildSched() {
 		}
 	}
 	p.clearIQLists()
-}
-
-// recountLSQFull recomputes the count of active clusters with a full LSQ
-// (the O(1) replacement for dispatch's per-store dummy-slot scan). Called
-// whenever the active set changes and on checkpoint load.
-func (p *Processor) recountLSQFull() {
-	n := 0
-	for c := 0; c < p.active; c++ {
-		if p.clusters[c].lsq >= p.cfg.LSQPerCluster {
-			n++
-		}
-	}
-	p.lsqFull = n
-}
-
-// lsqDelta adjusts a cluster's LSQ occupancy, maintaining the full count
-// for clusters in the active set.
-func (p *Processor) lsqDelta(c, d int) {
-	cs := &p.clusters[c]
-	if c >= p.active {
-		cs.lsq += d
-		return
-	}
-	was := cs.lsq >= p.cfg.LSQPerCluster
-	cs.lsq += d
-	full := cs.lsq >= p.cfg.LSQPerCluster
-	if full != was {
-		if full {
-			p.lsqFull++
-		} else {
-			p.lsqFull--
-		}
-	}
 }
 
 // fillIQLists materializes the per-cluster issue-queue slices from the ROB
@@ -583,4 +524,3 @@ func heapPopWake(h *[]schedWake) schedWake {
 	*h = s
 	return top
 }
-

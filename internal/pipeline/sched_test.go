@@ -325,3 +325,28 @@ func TestWheelOverflowRoundTrip(t *testing.T) {
 		t.Fatalf("steppers diverge with beyond-horizon latencies:\n  event:  %+v\n  legacy: %+v", fast, legacy)
 	}
 }
+
+// BenchmarkStallFastForward: whole-run speed on the serial pointer chase
+// where nearly every cycle stalls on memory — fast-forward's home regime.
+// The op is 1K committed instructions (hundreds of thousands of simulated
+// cycles); Mcycles/s is the rate of simulated time, which is what the jump
+// accelerates.
+func BenchmarkStallFastForward(b *testing.B) {
+	for _, m := range []struct {
+		name   string
+		legacy bool
+	}{{"event", false}, {"legacy", true}} {
+		b.Run(m.name, func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.LegacyStepper = m.legacy
+			p := MustNew(cfg, stallGen(b), nil)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.Run(1_000); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(p.Cycle())/b.Elapsed().Seconds()/1e6, "Mcycles/s")
+		})
+	}
+}

@@ -111,7 +111,7 @@ func (p *Processor) SaveCheckpoint(wr io.Writer) error {
 
 	w.Mark("rob")
 	for seq := p.headSeq; seq < p.tailSeq; seq++ {
-		saveUop(w, p.at(seq))
+		saveUop(w, p.at(seq), p.coldAt(seq))
 	}
 
 	// The fetch queue is written logically (oldest first) so restore can
@@ -265,7 +265,7 @@ func (p *Processor) LoadCheckpoint(rd io.Reader) error {
 	if r.Err() == nil {
 		for seq := p.headSeq; seq < p.tailSeq; seq++ {
 			u := p.at(seq)
-			loadUop(r, u)
+			loadUop(r, u, p.coldAt(seq))
 			if r.Err() != nil {
 				break
 			}
@@ -295,6 +295,10 @@ func (p *Processor) LoadCheckpoint(rd io.Reader) error {
 		cs := &p.clusters[ci]
 		cs.iqInt = append(cs.iqInt[:0], r.U64s()...)
 		cs.iqFP = append(cs.iqFP[:0], r.U64s()...)
+		if r.Err() == nil && (len(cs.iqInt) > p.cfg.IQPerCluster || len(cs.iqFP) > p.cfg.IQPerCluster) {
+			return fmt.Errorf("pipeline: snapshot cluster %d issue queues hold %d+%d entries, capacity %d each",
+				ci, len(cs.iqInt), len(cs.iqFP), p.cfg.IQPerCluster)
+		}
 		cs.intRegs = r.Int()
 		cs.fpRegs = r.Int()
 		cs.lsq = r.Int()
@@ -379,6 +383,7 @@ func (p *Processor) LoadCheckpoint(rd io.Reader) error {
 	// dispatched-unissued uop). None of it is serialized: it is a pure
 	// function of the loaded window. See rebuildSched in sched.go.
 	p.rebuildSched()
+	p.rebuildLoadOrder()
 	return nil
 }
 
@@ -411,7 +416,9 @@ func loadInstr(r *snap.Reader, in *isa.Instruction) {
 	in.EndsBlock = r.Bool()
 }
 
-func saveUop(w *snap.Writer, u *uop) {
+// saveUop writes a ROB entry, its hot and cold halves in one fixed field
+// order (the encoding predates the split and is unchanged by it).
+func saveUop(w *snap.Writer, u *uop, uc *uopCold) {
 	saveInstr(w, &u.in)
 	w.U64(u.seq)
 	w.Int(int(u.cluster))
@@ -425,19 +432,19 @@ func saveUop(w *snap.Writer, u *uop) {
 	w.U64(u.issueAt)
 	w.U64(u.doneAt)
 	w.U64(u.agenDoneAt)
-	w.U64(u.resolveGlobalAt)
-	w.Int(int(u.predictedHome))
-	w.Int(int(u.activeAtDispatch))
+	w.U64(uc.resolveGlobalAt)
+	w.Int(int(uc.predictedHome))
+	w.Int(int(uc.activeAtDispatch))
 	w.U64(u.src1At)
 	w.U64(u.src2At)
 	w.U64(u.waitStore)
 	w.U64(u.readyAt)
-	for i := range u.fwd {
-		w.U64(u.fwd[i])
+	for i := range uc.fwd {
+		w.U64(uc.fwd[i])
 	}
 }
 
-func loadUop(r *snap.Reader, u *uop) {
+func loadUop(r *snap.Reader, u *uop, uc *uopCold) {
 	loadInstr(r, &u.in)
 	u.seq = r.U64()
 	u.cluster = int32(r.Int())
@@ -451,9 +458,9 @@ func loadUop(r *snap.Reader, u *uop) {
 	u.issueAt = r.U64()
 	u.doneAt = r.U64()
 	u.agenDoneAt = r.U64()
-	u.resolveGlobalAt = r.U64()
-	u.predictedHome = int32(r.Int())
-	u.activeAtDispatch = int32(r.Int())
+	uc.resolveGlobalAt = r.U64()
+	uc.predictedHome = int32(r.Int())
+	uc.activeAtDispatch = int32(r.Int())
 	u.src1At = r.U64()
 	u.src2At = r.U64()
 	u.waitStore = r.U64()
@@ -461,7 +468,7 @@ func loadUop(r *snap.Reader, u *uop) {
 	// Wait chains and the cached agenda key are rebuilt by rebuildSched,
 	// never serialized.
 	u.wHead, u.wNext, u.key = 0, 0, 0
-	for i := range u.fwd {
-		u.fwd[i] = r.U64()
+	for i := range uc.fwd {
+		uc.fwd[i] = r.U64()
 	}
 }

@@ -1,8 +1,10 @@
-package pipeline
+package pipeline_test
 
 import (
 	"testing"
 
+	"clustersim/internal/core"
+	"clustersim/internal/pipeline"
 	"clustersim/internal/telemetry"
 	"clustersim/internal/workload"
 )
@@ -11,19 +13,47 @@ import (
 // `go test -bench`, not only in sampled PhaseTimer attribution data. Each
 // stage benchmark runs the whole machine with a period-1 phase timer (every
 // cycle sampled stage-by-stage) and reports the named stage's wall time per
-// stepped cycle; the event/legacy sub-benchmarks make the hot-loop win — and
-// any future regression — visible per stage.
+// stepped cycle and per committed instruction; the event/legacy
+// sub-benchmarks make the hot-loop win — and any future regression —
+// visible per stage.
+//
+// Two machines: "static16" is gzip on the Table 1 machine with all 16
+// clusters active; "int16-live" is perfbench's communication-bound cell, vpr
+// on the same 16-cluster ring with the centralized cache under the
+// fine-grained (fg-branch) controller, so the active set moves. The work is
+// fixed: every op simulates stageOp instructions of one warmed-up machine.
 
-func benchStageNanos(b *testing.B, phase telemetry.Phase, legacy bool) {
+// stageOp is the work of one benchmark op, in committed instructions.
+const stageOp = 2_000
+
+type stageMachine struct {
+	name  string
+	bench string
+	ctrl  func() pipeline.Controller
+}
+
+var stageMachines = []stageMachine{
+	{"static16", "gzip", func() pipeline.Controller { return nil }},
+	{"int16-live", "vpr", func() pipeline.Controller { return core.NewFineGrain(core.FineGrainConfig{}) }},
+}
+
+func benchStageNanos(b *testing.B, phase telemetry.Phase, m stageMachine, legacy bool) {
 	pt := telemetry.NewPhaseTimer(1)
-	cfg := DefaultConfig()
+	cfg := pipeline.DefaultConfig()
 	cfg.Phases = pt
 	cfg.LegacyStepper = legacy
-	p := MustNew(cfg, workload.MustNew("gzip", 1), nil)
-	mustRun(b, p, 20_000) // reach steady state before measuring
+	p := pipeline.MustNew(cfg, workload.MustNew(m.bench, 1), m.ctrl())
+	run := func(n uint64) {
+		if _, err := p.Run(n); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run(20_000) // reach steady state before measuring
 	before := pt.Report()
 	b.ResetTimer()
-	mustRun(b, p, uint64(b.N))
+	for i := 0; i < b.N; i++ {
+		run(stageOp)
+	}
 	b.StopTimer()
 	after := pt.Report()
 	for i := range after.Phases {
@@ -33,46 +63,32 @@ func benchStageNanos(b *testing.B, phase telemetry.Phase, legacy bool) {
 			if laps > 0 {
 				b.ReportMetric(float64(nanos)/float64(laps), "ns/cycle")
 			}
+			// Per instruction is the cross-stepper figure: the event
+			// stepper steps fewer, busier cycles (it skips idle ones).
+			b.ReportMetric(float64(nanos)/float64(b.N*stageOp), "ns/instr")
 		}
+	}
+}
+
+// benchStage runs one stage's benchmark on every machine under both
+// steppers.
+func benchStage(b *testing.B, phase telemetry.Phase) {
+	for _, m := range stageMachines {
+		b.Run(m.name+"/event", func(b *testing.B) { benchStageNanos(b, phase, m, false) })
+		b.Run(m.name+"/legacy", func(b *testing.B) { benchStageNanos(b, phase, m, true) })
 	}
 }
 
 // BenchmarkIssueStage: the stage the event engine restructured — the legacy
 // variant pays the full per-cycle IQ scan, the event variant only touches
 // woken instructions.
-func BenchmarkIssueStage(b *testing.B) {
-	b.Run("event", func(b *testing.B) { benchStageNanos(b, telemetry.PhaseIssue, false) })
-	b.Run("legacy", func(b *testing.B) { benchStageNanos(b, telemetry.PhaseIssue, true) })
-}
+func BenchmarkIssueStage(b *testing.B) { benchStage(b, telemetry.PhaseIssue) }
 
-// BenchmarkDispatchStage: steering plus queue insertion (and, under the
-// decentralized model, the former dummy-LSQ scan, now an O(1) counter test).
-func BenchmarkDispatchStage(b *testing.B) {
-	b.Run("event", func(b *testing.B) { benchStageNanos(b, telemetry.PhaseDispatch, false) })
-	b.Run("legacy", func(b *testing.B) { benchStageNanos(b, telemetry.PhaseDispatch, true) })
-}
+// BenchmarkDispatchStage: steering plus queue insertion. Steering reads the
+// incremental steering view (steer.go), O(votes) per instruction.
+func BenchmarkDispatchStage(b *testing.B) { benchStage(b, telemetry.PhaseDispatch) }
 
-// BenchmarkStallFastForward: whole-run speed on the serial pointer chase
-// where nearly every cycle stalls on memory — fast-forward's home regime.
-// The op is 1K committed instructions (hundreds of thousands of simulated
-// cycles); Mcycles/s is the rate of simulated time, which is what the jump
-// accelerates.
-func BenchmarkStallFastForward(b *testing.B) {
-	for _, m := range []struct {
-		name   string
-		legacy bool
-	}{{"event", false}, {"legacy", true}} {
-		b.Run(m.name, func(b *testing.B) {
-			cfg := DefaultConfig()
-			cfg.LegacyStepper = m.legacy
-			p := MustNew(cfg, stallGen(b), nil)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Run(1_000); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(p.Cycle())/b.Elapsed().Seconds()/1e6, "Mcycles/s")
-		})
-	}
-}
+// BenchmarkMemStage: store-dummy dissolution and load ordering (lsq.go):
+// parked loads cost nothing until their wake cycle, and an attempt walks
+// each older store at most once per load.
+func BenchmarkMemStage(b *testing.B) { benchStage(b, telemetry.PhaseMem) }

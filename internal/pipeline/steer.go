@@ -1,6 +1,10 @@
 package pipeline
 
-import "clustersim/internal/isa"
+import (
+	"math/bits"
+
+	"clustersim/internal/isa"
+)
 
 // steer picks the cluster for an instruction about to dispatch, or -1 when
 // no active cluster can accept it this cycle. It implements §2.1's
@@ -22,36 +26,165 @@ func (p *Processor) steer(in *isa.Instruction, seq uint64) int {
 	}
 }
 
-// canAccept reports whether cluster c has the resources the instruction
-// needs: an issue-queue slot, a destination register if one is written, and
-// an LSQ slot for memory operations. Stores under the decentralized model
-// additionally need a dummy slot in every other active LSQ; that is checked
-// separately in dispatchStage because it is independent of the steering
-// choice.
-func (p *Processor) canAccept(c int, in *isa.Instruction) bool {
-	cs := &p.clusters[c]
-	if cs.iqCount(in.Class) >= p.cfg.IQPerCluster {
-		return false
+// steerView is the steering heuristics' incremental picture of the
+// clusters, kept exact by the counter sites that move it (dispatch, issue,
+// commit, lsqDelta) so that steering costs O(votes) per instruction instead
+// of a per-cluster acceptance probe.
+//
+// Every mask has bit c set for cluster c. The full masks record which
+// clusters have no room left for a resource; acceptMask combines them into
+// the one acceptance rule. occ is every cluster's issue-queue occupancy
+// (integer plus floating point) and levels[o] the set of clusters whose
+// occupancy is o. lo and hi bound the occupancy of every active cluster:
+// the counter sites only ever widen them, and steering tightens them
+// lazily to the nearest level holding an active cluster. Because the
+// tightening is relative to the active set, the bounds are reset whenever
+// it changes (resetBounds).
+type steerView struct {
+	occ    [MaxClusters]int
+	levels []uint32 // 2*IQPerCluster+1 levels, allocated once in New
+	lo, hi int
+
+	iqFull  [2]uint32 // per queue (queueOf): occupancy at IQPerCluster
+	regFull [2]uint32 // per register file (queueOf): registers at RegsPerCluster
+	// lsqFull holds the clusters that cannot take a memory operation: the
+	// per-cluster LSQs at capacity under the decentralized model, every
+	// cluster when the shared LSQ is full under the centralized one.
+	lsqFull uint32
+}
+
+// queueOf indexes the per-class resources: 0 for the integer issue queue
+// and register file, 1 for the floating-point ones.
+func queueOf(c isa.Class) int {
+	if c.IsFP() {
+		return 1
 	}
+	return 0
+}
+
+// setBit sets or clears bit c of *m.
+func setBit(m *uint32, c int, on bool) {
+	if on {
+		*m |= 1 << uint(c)
+	} else {
+		*m &^= 1 << uint(c)
+	}
+}
+
+// move shifts cluster c's occupancy by d, keeping its level and the bounds.
+func (sv *steerView) move(c, d int) {
+	o := sv.occ[c]
+	n := o + d
+	sv.levels[o] &^= 1 << uint(c)
+	sv.levels[n] |= 1 << uint(c)
+	sv.occ[c] = n
+	if n < sv.lo {
+		sv.lo = n
+	}
+	if n > sv.hi {
+		sv.hi = n
+	}
+}
+
+// resetBounds widens lo and hi to the full level range. Called whenever the
+// active set changes: bounds tightened against the old set need not hold
+// for a cluster that has just become active.
+func (sv *steerView) resetBounds() {
+	sv.lo, sv.hi = 0, len(sv.levels)-1
+}
+
+// activeMask returns the set of dispatch-enabled clusters.
+func (p *Processor) activeMask() uint32 { return 1<<uint(p.active) - 1 }
+
+// acceptMask returns the active clusters with the resources the
+// instruction needs: an issue-queue slot, a destination register if one is
+// written, and an LSQ slot for memory operations. Stores under the
+// decentralized model additionally need a dummy slot in every other active
+// LSQ; that is checked separately in dispatchStage because it is
+// independent of the steering choice.
+func (p *Processor) acceptMask(in *isa.Instruction) uint32 {
+	k := queueOf(in.Class)
+	full := p.sv.iqFull[k]
 	if in.HasDest {
-		if in.Class.IsFP() {
-			if cs.fpRegs >= p.cfg.RegsPerCluster {
-				return false
-			}
-		} else if cs.intRegs >= p.cfg.RegsPerCluster {
-			return false
-		}
+		full |= p.sv.regFull[k]
 	}
 	if in.Class.IsMem() {
-		if p.cfg.Cache == CentralizedCache {
-			if p.lsqTotal >= p.cfg.LSQPerCluster*p.cfg.Clusters {
-				return false
-			}
-		} else if cs.lsq >= p.cfg.LSQPerCluster {
-			return false
-		}
+		full |= p.sv.lsqFull
 	}
-	return true
+	return p.activeMask() &^ full
+}
+
+// iqDelta adjusts the occupancy of cluster c's issue queue for class cls by
+// d (+1 on dispatch, -1 on issue).
+func (p *Processor) iqDelta(c int, cls isa.Class, d int) {
+	cs := &p.clusters[c]
+	n := &cs.nInt
+	if cls.IsFP() {
+		n = &cs.nFP
+	}
+	*n += d
+	setBit(&p.sv.iqFull[queueOf(cls)], c, *n >= p.cfg.IQPerCluster)
+	p.iqOcc += d
+	p.sv.move(c, d)
+}
+
+// regDelta adjusts cluster c's in-use count of the register file serving
+// cls by d.
+func (p *Processor) regDelta(c int, cls isa.Class, d int) {
+	cs := &p.clusters[c]
+	n := &cs.intRegs
+	if cls.IsFP() {
+		n = &cs.fpRegs
+	}
+	*n += d
+	setBit(&p.sv.regFull[queueOf(cls)], c, *n >= p.cfg.RegsPerCluster)
+}
+
+// lsqTotalDelta adjusts the centralized LSQ occupancy by d.
+func (p *Processor) lsqTotalDelta(d int) {
+	p.lsqTotal += d
+	p.sv.lsqFull = p.centralLSQFull()
+}
+
+// centralLSQFull is the centralized model's LSQ full mask: every cluster
+// when the shared LSQ is full, none otherwise.
+func (p *Processor) centralLSQFull() uint32 {
+	if p.lsqTotal >= p.cfg.LSQPerCluster*p.cfg.Clusters {
+		return ^uint32(0)
+	}
+	return 0
+}
+
+// lsqDelta adjusts a cluster's LSQ occupancy under the decentralized model.
+func (p *Processor) lsqDelta(c, d int) {
+	cs := &p.clusters[c]
+	cs.lsq += d
+	setBit(&p.sv.lsqFull, c, cs.lsq >= p.cfg.LSQPerCluster)
+}
+
+// computeFrom sets sv to the steering view of p's counters, with the
+// widest bounds: the view's initial state in New, its rebuild on
+// checkpoint load (snapshots carry only the counters), and the reference
+// the attached checker compares the incremental view against.
+func (sv *steerView) computeFrom(p *Processor) {
+	for i := range sv.levels {
+		sv.levels[i] = 0
+	}
+	sv.iqFull, sv.regFull, sv.lsqFull = [2]uint32{}, [2]uint32{}, 0
+	for c := range p.clusters {
+		cs := &p.clusters[c]
+		sv.occ[c] = cs.nInt + cs.nFP
+		sv.levels[sv.occ[c]] |= 1 << uint(c)
+		setBit(&sv.iqFull[0], c, cs.nInt >= p.cfg.IQPerCluster)
+		setBit(&sv.iqFull[1], c, cs.nFP >= p.cfg.IQPerCluster)
+		setBit(&sv.regFull[0], c, cs.intRegs >= p.cfg.RegsPerCluster)
+		setBit(&sv.regFull[1], c, cs.fpRegs >= p.cfg.RegsPerCluster)
+		setBit(&sv.lsqFull, c, cs.lsq >= p.cfg.LSQPerCluster)
+	}
+	if p.cfg.Cache == CentralizedCache {
+		sv.lsqFull = p.centralLSQFull()
+	}
+	sv.resetBounds()
 }
 
 // producerCluster returns the cluster of the in-flight producer dist back
@@ -87,84 +220,96 @@ func (p *Processor) producerUnfinished(seq uint64, dist uint32) bool {
 	return u.doneAt > p.cycle
 }
 
+// steerOperandMajority scores every accepting cluster votes*1024 - occ and
+// takes the best, ties toward the lower index, unless the occupancy spread
+// across the active clusters reaches ImbalanceThreshold, in which case the
+// least loaded accepting cluster (lowest index among equals) wins. Only
+// clusters with votes can score above the least loaded accepting cluster
+// minIdx — a cluster with no votes scores -occ ≤ -occ[minIdx], and ties
+// with minIdx only from a higher index — so the candidates are the (at most
+// three) voted clusters plus minIdx, and the result is exactly the full
+// per-cluster scan's for any IQPerCluster (docs/ALGORITHMS.md §5).
 func (p *Processor) steerOperandMajority(in *isa.Instruction, seq uint64) int {
-	active := p.active
-	var votes [MaxClusters]int
+	acc := p.acceptMask(in)
+	if acc == 0 {
+		return -1 // nothing can accept it
+	}
+	sv := &p.sv
+	act := p.activeMask()
+	for sv.levels[sv.hi]&act == 0 {
+		sv.hi--
+	}
+	for sv.levels[sv.lo]&act == 0 {
+		sv.lo++
+	}
+	minOcc := sv.lo
+	for sv.levels[minOcc]&acc == 0 {
+		minOcc++
+	}
+	minIdx := bits.TrailingZeros32(sv.levels[minOcc] & acc)
+	// Load-imbalance override: when the spread between the most loaded
+	// active cluster and the least loaded accepting one reaches the
+	// threshold, ignore affinity and steer to the least loaded.
+	if sv.hi-minOcc >= p.cfg.ImbalanceThreshold {
+		return minIdx
+	}
 
+	// Votes: one per operand produced in a cluster, two for the operand
+	// predicted to arrive last (criticality).
+	active := p.active
 	c1 := p.producerCluster(seq, in.SrcDist1)
 	c2 := p.producerCluster(seq, in.SrcDist2)
+	w1, w2 := 0, 0
 	if c1 >= 0 && c1 < active {
-		votes[c1]++
-		// Criticality: prefer the cluster producing the operand
-		// predicted to arrive last.
+		w1 = 1
 		if p.predictedCritical(seq, in.SrcDist1) {
-			votes[c1]++
+			w1 = 2
 		}
 	}
 	if c2 >= 0 && c2 < active {
-		votes[c2]++
+		w2 = 1
 		if p.predictedCritical(seq, in.SrcDist2) {
-			votes[c2]++
+			w2 = 2
 		}
 	}
-
-	// Memory operations favor the cluster that services their bank: free
-	// for the decentralized cache (§5: "performance is maximized when a
-	// load or store is steered to the cluster that is predicted to cache
-	// the corresponding data"), a tie-break toward the cache end for the
-	// centralized one.
+	// Memory operations favor the cluster that services their bank under
+	// the decentralized cache (§5: "performance is maximized when a load
+	// or store is steered to the cluster that is predicted to cache the
+	// corresponding data"). The bank dependence dominates: a load or store
+	// not in its bank's cluster pays two transfers (address there, data
+	// back), so a confident prediction outweighs operand affinity.
+	home := -1
 	if in.Class.IsMem() && p.cfg.Cache == DecentralizedCache {
-		home, confident := p.predictHomeConfident(in)
-		if confident && home < active {
-			// The bank dependence dominates: a load or store not in
-			// its bank's cluster pays two transfers (address there,
-			// data back), so §5 steers memory operations to the
-			// predicted bank even over operand affinity — but only
-			// when the prediction is trustworthy.
-			votes[home] += 4
+		if h, confident := p.predictHomeConfident(in); confident && h < active {
+			home = h
 		}
 	}
 
-	// One fused pass finds the load-imbalance override candidate (the
-	// least loaded cluster that can accept) and the best-scoring cluster;
-	// ties break toward the lower cluster index in both, matching the
-	// original two-pass scan order.
-	minOcc, maxOcc := 1<<30, -1
-	minIdx := -1
-	best := -1
-	bestScore := -(1 << 60)
-	for c := 0; c < active; c++ {
-		occ := p.clusters[c].occupancy()
-		if occ > maxOcc {
-			maxOcc = occ
-		}
-		if !p.canAccept(c, in) {
+	best, bestScore := minIdx, -minOcc
+	for _, c := range [3]int{c1, c2, home} {
+		if c < 0 || acc&(1<<uint(c)) == 0 {
 			continue
 		}
-		if occ < minOcc {
-			minOcc = occ
-			minIdx = c
+		votes := 0
+		if c == c1 {
+			votes += w1
 		}
-		// Ties break toward lower occupancy.
-		score := votes[c]*1024 - occ
-		if score > bestScore {
+		if c == c2 {
+			votes += w2
+		}
+		if c == home {
+			votes += 4
+		}
+		if score := votes*1024 - sv.occ[c]; score > bestScore || (score == bestScore && c < best) {
 			best, bestScore = c, score
 		}
-	}
-	if minIdx < 0 {
-		return -1 // nothing can accept it
-	}
-	// Load-imbalance override: when the spread between the most and
-	// least loaded active clusters exceeds the threshold, ignore
-	// affinity and steer to the least loaded.
-	if maxOcc-minOcc >= p.cfg.ImbalanceThreshold {
-		return minIdx
 	}
 	return best
 }
 
 func (p *Processor) steerModN(in *isa.Instruction) int {
 	active := p.active
+	acc := p.acceptMask(in)
 	for tries := 0; tries < active; tries++ {
 		c := p.modNCluster
 		if p.modNCount >= p.cfg.ModN {
@@ -176,7 +321,7 @@ func (p *Processor) steerModN(in *isa.Instruction) int {
 			p.modNCluster, p.modNCount = 0, 0
 			c = 0
 		}
-		if p.canAccept(c, in) {
+		if acc&(1<<uint(c)) != 0 {
 			p.modNCount++
 			return c
 		}
@@ -188,12 +333,11 @@ func (p *Processor) steerModN(in *isa.Instruction) int {
 }
 
 func (p *Processor) steerFirstFit(in *isa.Instruction) int {
-	for c := 0; c < p.active; c++ {
-		if p.canAccept(c, in) {
-			return c
-		}
+	acc := p.acceptMask(in)
+	if acc == 0 {
+		return -1
 	}
-	return -1
+	return bits.TrailingZeros32(acc)
 }
 
 // predictHome returns the cluster predicted to cache a memory instruction's

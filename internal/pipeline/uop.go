@@ -6,15 +6,19 @@ import "clustersim/internal/isa"
 // yet (its producer has not issued). Valid cycle numbers start at 1.
 const unknown = ^uint64(0)
 
-// uop is one in-flight dynamic instruction (a ROB entry).
+// uop is the hot part of one in-flight dynamic instruction (a ROB entry);
+// uopCold is the rest, in a parallel array indexed the same way.
 //
-// Field order is deliberate: the first 64 bytes are exactly the fields an
-// issue-path evaluation touches (the wake paths read key/wHead/wNext, the
-// readiness guards read readyAt/dispatchReady/src1At/src2At), and the
-// second cache line holds what a producer probe needs (doneAt, issued,
-// cluster, the instruction's class and operand distances). The entry is
-// ~300 bytes; keeping an evaluation to the first two lines instead of a
-// walk across the whole entry is a measurable share of issue-phase time.
+// Layout: the first 64 bytes are exactly the fields an issue-path
+// evaluation touches (the wake paths read key/wHead/wNext, the readiness
+// guards read readyAt/dispatchReady/src1At/src2At), and the next 64 hold
+// what a producer probe and steering's producer lookups need (doneAt,
+// issued, cluster, the instruction's class and operand distances); the
+// tail ends with the load-ordering fields the memory stage polls. The
+// entry is 176 bytes. What issue and steering never read lives in
+// uopCold: the 128-byte forwarding cache, read only on a cross-cluster
+// transfer, the decentralized-cache fields and the load-ordering links.
+// Before the split the entry was 312 bytes.
 type uop struct {
 	seq uint64
 
@@ -63,11 +67,29 @@ type uop struct {
 	// agenDoneAt is the cycle a memory operation's effective address is
 	// known (address generation complete).
 	agenDoneAt uint64
-	// resolveGlobalAt is, for stores under the decentralized LSQ, the
-	// cycle the address broadcast reaches every other cluster and the
-	// dummy slots dissolve.
-	resolveGlobalAt uint64
+	// waitStore, when nonzero, is seq+1 of the unresolved older store
+	// that blocked this load's last ordering attempt.
+	waitStore uint64
 
+	// ldWake is, for a pending load, the next cycle an ordering attempt
+	// can succeed (unknown while parked on an unissued store; lsq.go).
+	// Rebuilt on checkpoint load.
+	ldWake uint64
+}
+
+// uopCold holds the ROB-entry fields off the issue and steering fast paths.
+// The snapshot encodes a uop and its uopCold as one entry (saveUop).
+type uopCold struct {
+	// fwd caches the arrival cycle of this instruction's result at each
+	// consumer cluster (0 = not yet transferred), so one physical
+	// transfer serves all consumers in a cluster.
+	fwd [MaxClusters]uint64
+
+	// resolveGlobalAt is, for stores, the cycle the address is known in
+	// every cluster: under the decentralized LSQ the cycle the address
+	// broadcast reaches every other cluster and the dummy slots
+	// dissolve, under the centralized one agenDoneAt.
+	resolveGlobalAt uint64
 	// predictedHome is the bank-predictor's steering hint for memory
 	// operations under the decentralized cache.
 	predictedHome int32
@@ -75,15 +97,15 @@ type uop struct {
 	// instruction dispatched (store dummies span exactly that set).
 	activeAtDispatch int32
 
-	// waitStore, when nonzero, is seq+1 of the unresolved older store
-	// that blocked this load's last ordering walk; the walk is skipped
-	// until that store resolves.
-	waitStore uint64
-
-	// fwd caches the arrival cycle of this instruction's result at each
-	// consumer cluster (0 = not yet transferred), so one physical
-	// transfer serves all consumers in a cluster.
-	fwd [MaxClusters]uint64
+	// Load-ordering links (lsq.go), rebuilt on checkpoint load. For a
+	// load: fwdFrom is seq+1 of the youngest older store to the same
+	// address (0 = none), clearOrd the store-window cursor below which
+	// older stores are still to be checked, and ldNext the next load
+	// parked on the same store. For a store: stPrev is seq+1 of the next
+	// older store in its index bucket, and ldHead the first load parked
+	// on it.
+	fwdFrom, clearOrd, ldNext uint64
+	stPrev, ldHead            uint64
 }
 
 // isStore and isLoad are convenience accessors.
